@@ -16,8 +16,6 @@ import sys
 import time
 from fractions import Fraction
 
-import numpy as np
-
 from . import co_builders, dp_nn, fptas_nn, instance_gen, verify
 from .errors import NetworkError
 from .knapsack_oracles import KnapsackInstance, brute_force
@@ -107,7 +105,7 @@ def cmd_solve_fptas(args) -> int:
         "command": "solve-fptas",
         "instance_digest": _digest(inst.to_json_dict()),
         "resolution": P,
-        "cell_width": 2 * P * P + 2 * P,
+        "cell_width": fptas_nn.build_fptas_cell(P).net.width,
         "value": sol.value,
         "items": list(sol.items),
         "total_size": sol.total_size,
@@ -217,17 +215,14 @@ def cmd_bench(args) -> int:
     for k in range(args.trials):
         seed = args.seed + k
         inst = verify.capped_instance(seed, args.p_star, args.max_items)
-        opt = brute_force(inst).value
-        for eps in epsilons:
-            P = fptas_nn.resolution_for(inst.n, eps)
-            sol = fptas_nn.solve_with_resolution(inst, P)
-            ratio = sol.value / opt
-            if ratio < float(1 - eps) - 1e-12:
+        resolutions = [fptas_nn.resolution_for(inst.n, eps) for eps in epsilons]
+        for eps, pt in zip(epsilons, fptas_nn.width_quality_curve(inst, resolutions)):
+            if pt.ratio < float(1 - eps) - 1e-12:
                 violations += 1
-                print(f"error: ratio {ratio} below guarantee {float(1 - eps)} "
+                print(f"error: ratio {pt.ratio} below guarantee {float(1 - eps)} "
                       f"(seed {seed}, eps {eps})", file=sys.stderr)
             lines.append(
-                f"{seed},{eps},{P},{2 * P * P + 2 * P},{sol.value!r},{int(opt)},{ratio!r}"
+                f"{seed},{eps},{pt.resolution},{pt.width},{pt.p_nn!r},{pt.p_opt},{pt.ratio!r}"
             )
     _write_text("\n".join(lines) + "\n", args.out)
     return 1 if violations else 0

@@ -57,7 +57,6 @@ __all__ = [
     "run_csp",
     "run_lcs",
     "run_tsp",
-    "tsp_input_vector",
 ]
 
 RESOURCE_TOL = 1e-9
@@ -573,10 +572,6 @@ def build_tsp_network(n: int) -> TspNetwork:
     closing = [f[full, u] + c(u, 0) for u in range(1, n)]
     tour = min_reduce_many(b, [closing])[0]
     return TspNetwork(b.finish([tour]), n)
-
-
-def tsp_input_vector(dist) -> np.ndarray:
-    return _offdiag(dist)
 
 
 def run_tsp(dist) -> float:

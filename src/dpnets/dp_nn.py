@@ -17,15 +17,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import SizeGuardError
-from .knapsack_oracles import (
-    CAPACITY_TOL,
-    DpTable,
-    KnapsackInstance,
-    Solution,
-    backtrack,
-)
-from .relu_core import NetworkBuilder, ReluNetwork, affine_sum, unfold
+from .errors import ConstructionError
+from .knapsack_oracles import DpTable, KnapsackInstance, Solution, backtrack, optimum_value
+from .relu_core import NetworkBuilder, ReluNetwork, affine_sum, check_arc_budget, unfold
 
 __all__ = [
     "DpCell",
@@ -37,9 +31,11 @@ __all__ = [
     "unfold_dp",
 ]
 
-# n2 grows quadratically in the profit bound; past 2**20 the arc count
-# leaves desk scale and 2*(p_in - k) would approach the exact range.
-_MAX_P_STAR = 2**20
+
+def _cell_arcs(p_star: int) -> int:
+    """Arcs of the p_star cell: one per gate, three per selector, p + 1 into
+    minimum helper p and two per output, 2*p_star**2 + 4*p_star in all."""
+    return 2 * p_star * p_star + 4 * p_star
 
 
 @dataclass(frozen=True)
@@ -74,9 +70,6 @@ class DpCell:
         """Layer-3 neuron max(0, f_in(p) - s_in - selected)."""
         return p - 1
 
-    def selector_slice(self, p: int) -> slice:
-        return slice((p - 1) * (p - 2) // 2, (p - 1) * (p - 2) // 2 + (p - 1))
-
 
 @lru_cache(maxsize=8)
 def build_dp_cell(p_star: int) -> DpCell:
@@ -85,10 +78,13 @@ def build_dp_cell(p_star: int) -> DpCell:
     Layer sizes are (2*p_star, p_star*(p_star-1)/2, p_star); for
     p_star = 1 the selector layer is empty and the cell degenerates to
     f_out(1) = min(f_in(1), s_in).  Cells are immutable, so recently
-    built bounds are cached.
+    built bounds are cached.  The cell has 2*p_star**2 + 4*p_star arcs;
+    bounds whose cell exceeds the arc budget are refused before building.
     """
-    if not 1 <= p_star <= _MAX_P_STAR:
-        raise ValueError(f"p_star must be in [1, {_MAX_P_STAR}]")
+    if p_star < 1:
+        raise ValueError("p_star must be >= 1")
+    num_arcs = _cell_arcs(p_star)
+    check_arc_budget(num_arcs, f"the exact cell for p_star = {p_star}")
     b = NetworkBuilder(p_star + 2)
     refs = b.input_refs()
     f_in = refs[:p_star]  # f_in[p - 1] is f_in(p)
@@ -114,7 +110,10 @@ def build_dp_cell(p_star: int) -> DpCell:
         min_helper.append(b.relu(f_in[p - 1] - s_in + picked))
 
     outputs = [f_in[p - 1] - min_helper[p - 1] for p in range(1, p_star + 1)]
-    return DpCell(b.finish(outputs), p_star)
+    net = b.finish(outputs)
+    if net.num_arcs != num_arcs:
+        raise ConstructionError(f"built {net.num_arcs} arcs, closed form says {num_arcs}")
+    return DpCell(net, p_star)
 
 
 @dataclass(frozen=True)
@@ -162,18 +161,18 @@ def solve_exact(inst: KnapsackInstance, p_star: int | None = None) -> Solution:
     ``p_star`` must upper-bound the optimum; it defaults to the total
     profit, which always does.  The value is the largest p whose final
     state entry is within tolerance of the capacity; the subset is
-    recovered by backtracking over the stored state sequence.
+    recovered by backtracking over the stored state sequence.  A smaller
+    ``p_star`` whose own row is feasible is refused.
     """
     if p_star is None:
         p_star = inst.total_profit
     cell = build_dp_cell(p_star)
-    trace = run_recurrent(cell, inst)
-    table = trace.as_table(p_star)
-    final = trace.states[-1]
-    ok = np.flatnonzero(final <= 1.0 + CAPACITY_TOL)
-    if not ok.size:
+    table = run_recurrent(cell, inst).as_table(p_star)
+    value = optimum_value(table)
+    if value == 0:
         return Solution(0, (), 0.0)
-    value = int(ok[-1]) + 1
+    if value == p_star < inst.total_profit:
+        raise ValueError(f"p_star = {p_star} does not bound the optimum: row {p_star} is feasible")
     recovered = backtrack(table, inst, value)
     return Solution(value, recovered.items, recovered.total_size)
 
@@ -187,8 +186,7 @@ def unfold_dp(p_star: int, n: int) -> ReluNetwork:
     """
     if n < 1:
         raise ValueError("need at least one step")
-    if n * p_star * p_star > 10**9:
-        raise SizeGuardError("unfolded network would be unreasonably large")
+    check_arc_budget(n * _cell_arcs(p_star), f"{n} unfolded steps of the p_star = {p_star} cell")
     cell = build_dp_cell(p_star)
     return unfold(cell.net, n, {o: o for o in range(p_star)})
 

@@ -18,7 +18,7 @@ downstream weights absorb the factor P.  The computed function is
 identical, but every selector pre-activation becomes an integer, so the
 zero-versus->=2 dichotomy the construction relies on holds bit-exactly
 in doubles (weights 1/P would round for general P).  The builder
-records the profit range for which this stays below 2**52; the runner
+records the profit range in which this stays exact; the runner
 enforces it.
 """
 
@@ -31,17 +31,19 @@ from math import ceil
 
 import numpy as np
 
-from .errors import InfeasibleTargetError, NumericOverflowError
+from .errors import ConstructionError, InfeasibleTargetError
 from .knapsack_oracles import (
     CAPACITY_TOL,
     FptasTable,
     KnapsackInstance,
     Solution,
     brute_force,
+    check_exact_range,
     coarse_index,
     coarse_index_with_item,
+    exact_profit_budget,
 )
-from .relu_core import NetworkBuilder, ReluNetwork, affine_sum
+from .relu_core import NetworkBuilder, ReluNetwork, affine_sum, check_arc_budget
 
 __all__ = [
     "FptasCell",
@@ -88,12 +90,6 @@ class FptasCell:
     def _triangle(self) -> int:
         return self.resolution * (self.resolution + 1) // 2
 
-    def idx_gate_old(self) -> int:
-        return 0
-
-    def idx_gate_new(self) -> int:
-        return 1
-
     def idx_skip_gate_plus(self, p: int, k: int) -> int:
         return self._start_upper(p) + (k - p)
 
@@ -105,15 +101,6 @@ class FptasCell:
 
     def idx_take_gate_minus(self, p: int, k: int) -> int:
         return 3 * self._triangle + self._start_lower(p) + (k - 1)
-
-    def idx_skip_keep(self, p: int, k: int) -> int:
-        return self._start_upper(p) + (k - p)
-
-    def idx_take_keep(self, p: int, k: int) -> int:
-        return self._triangle + self._start_lower(p) + (k - 1)
-
-    def idx_min_helper(self, p: int) -> int:
-        return p - 1
 
     def selected_values(self, layers, p: int):
         """(h1, h2) for row p from recorded activations: the values the two
@@ -138,12 +125,15 @@ def build_fptas_cell(resolution: int) -> FptasCell:
 
     Cells are immutable; the few most recent resolutions stay cached
     (sweeps revisit the same handful of resolutions per item count).
+    Resolutions over the arc budget are refused before building.
     """
     P = resolution
     if P < 1:
         raise ValueError("resolution must be >= 1")
-    if P > 4096:
-        raise ValueError("resolution above 4096 would need gigabytes of arcs")
+    # 3 granularity, 5P**2 + 4P - 1 gate, 3P(P + 1) keep, P(P + 2) minimum
+    # and P(P + 3)/2 + 2 output arcs.
+    num_arcs = (19 * P * P + 21 * P + 8) // 2
+    check_arc_budget(num_arcs, f"the rounded cell at resolution {P}")
     b = NetworkBuilder(P + 3)
     refs = b.input_refs()
     g_in = refs[:P]  # g_in[p - 1] is g_in(p)
@@ -211,8 +201,9 @@ def build_fptas_cell(resolution: int) -> FptasCell:
     outputs = [h1[p] - min_helper[p - 1] for p in range(1, P + 1)]
     outputs.append(total_in + p_in)
     net = b.finish(outputs)
-    budget = (2**52) // (2 * P) - P
-    return FptasCell(net, P, budget)
+    if net.num_arcs != num_arcs:
+        raise ConstructionError(f"built {net.num_arcs} arcs, closed form says {num_arcs}")
+    return FptasCell(net, P, exact_profit_budget(P))
 
 
 @dataclass(frozen=True)
@@ -231,11 +222,7 @@ def run_fptas(cell: FptasCell, inst: KnapsackInstance, record_hidden: bool = Fal
     the size terms accumulate identically.
     """
     P = cell.resolution
-    if inst.total_profit + max(inst.profits) > cell.max_profit_with_item:
-        raise NumericOverflowError(
-            f"profit total {inst.total_profit} exceeds the exact-evaluation "
-            f"budget {cell.max_profit_with_item} of a resolution-{P} cell"
-        )
+    check_exact_range(inst, P)
     state = np.full(P, 2.0)
     total = 0.0
     columns = [state]
@@ -352,7 +339,7 @@ def width_quality_curve(inst: KnapsackInstance, resolutions) -> list:
     points = []
     for P in resolutions:
         sol = solve_with_resolution(inst, P)
-        width = 2 * P * P + 2 * P
+        width = build_fptas_cell(P).net.width
         points.append(TradeoffPoint(P, width, sol.value, int(opt), sol.value / opt))
     return points
 

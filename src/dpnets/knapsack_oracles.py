@@ -26,9 +26,11 @@ __all__ = [
     "backtrack",
     "brute_force",
     "ceil_div",
+    "check_exact_range",
     "coarse_index",
     "coarse_index_with_item",
     "dp_table",
+    "exact_profit_budget",
     "fptas_reference",
     "optimum_value",
     "subset_profiles",
@@ -100,6 +102,12 @@ class Solution:
     total_size: float
 
 
+def _largest_feasible_row(values: np.ndarray) -> int:
+    """Largest p with values[p, -1] <= 1 + CAPACITY_TOL, or 0 if none qualifies."""
+    ok = np.flatnonzero(values[1:, -1] <= 1.0 + CAPACITY_TOL)
+    return int(ok[-1]) + 1 if ok.size else 0
+
+
 def _csv_of(values: np.ndarray) -> str:
     """Rows = profit index p, columns = item count i."""
     buf = io.StringIO()
@@ -161,16 +169,9 @@ class FptasTable:
     def granularity(self, i: int) -> float:
         return self.scaled_granularity(i) / self.resolution
 
-    def best_row(self, tol: float = CAPACITY_TOL) -> int:
-        """Largest p with g(p, n) <= 1 + tol, or 0 if none qualifies."""
-        final = self.values[1:, -1]
-        ok = np.flatnonzero(final <= 1.0 + tol)
-        return int(ok[-1]) + 1 if ok.size else 0
-
-    def best_guaranteed_profit(self, tol: float = CAPACITY_TOL) -> float:
-        """max{p * d_n : g(p, n) <= 1 + tol}, or 0.0."""
-        p = self.best_row(tol)
-        return p * self.scaled_granularity(self.n_items) / self.resolution
+    def best_row(self) -> int:
+        """Largest p with g(p, n) <= 1 + CAPACITY_TOL, or 0 if none qualifies."""
+        return _largest_feasible_row(self.values)
 
     def to_csv(self) -> str:
         return _csv_of(self.values)
@@ -204,11 +205,9 @@ def dp_table(inst: KnapsackInstance, p_star: int) -> DpTable:
     return DpTable(p_star, v)
 
 
-def optimum_value(table: DpTable, tol: float = CAPACITY_TOL) -> int:
-    """max{p in [p_star] : f(p, n) <= 1 + tol}, or 0 if nothing fits."""
-    final = table.values[1:, -1]
-    ok = np.flatnonzero(final <= 1.0 + tol)
-    return int(ok[-1]) + 1 if ok.size else 0
+def optimum_value(table: DpTable) -> int:
+    """max{p in [p_star] : f(p, n) <= 1 + CAPACITY_TOL}, or 0 if nothing fits."""
+    return _largest_feasible_row(table.values)
 
 
 # -- brute force -------------------------------------------------------------
@@ -270,12 +269,19 @@ def coarse_index_with_item(
     return ceil_div(p * d_new_scaled - profit * resolution, d_old_scaled)
 
 
-def _check_exact_range(inst: KnapsackInstance, resolution: int):
-    total, biggest = inst.total_profit, max(inst.profits)
-    if 2 * resolution * (total + biggest + resolution) >= 2**52:
+def exact_profit_budget(resolution: int) -> int:
+    """Largest sum(profits) + max(profit) the rounded recursion at resolution P
+    handles exactly: the gate pre-activations need 2*P*(sum + max + P) < 2**52."""
+    return (2**52 - 1) // (2 * resolution) - resolution
+
+
+def check_exact_range(inst: KnapsackInstance, resolution: int):
+    """Refuse an instance beyond :func:`exact_profit_budget` at resolution P."""
+    budget = exact_profit_budget(resolution)
+    if inst.total_profit + max(inst.profits) > budget:
         raise NumericOverflowError(
-            "profit magnitudes too large for exact double-precision comparisons "
-            f"(need 2*P*(sum+max+P) < 2**52, got P={resolution}, sum={total})"
+            f"profit total {inst.total_profit} plus the largest profit exceeds "
+            f"the exact-evaluation budget {budget} at resolution {resolution}"
         )
 
 
@@ -296,7 +302,7 @@ def fptas_reference(inst: KnapsackInstance, resolution: int) -> FptasTable:
     """
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
-    _check_exact_range(inst, resolution)
+    check_exact_range(inst, resolution)
     P = resolution
     n = inst.n
     g = np.empty((P + 1, n + 1))

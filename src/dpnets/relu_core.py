@@ -20,14 +20,16 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from .errors import ConstructionError, NumericOverflowError, ShapeMismatchError
+from .errors import ConstructionError, NumericOverflowError, ShapeMismatchError, SizeGuardError
 
 __all__ = [
+    "MAX_ARCS",
     "Affine",
     "NetworkBuilder",
     "NetworkStats",
     "ReluNetwork",
     "affine_sum",
+    "check_arc_budget",
     "max_pair",
     "min2_gadget",
     "min_n_gadget",
@@ -35,6 +37,17 @@ __all__ = [
     "min_reduce_many",
     "unfold",
 ]
+
+# Arc budget of the knapsack cells and of unfolding.  Building costs
+# about 250 bytes per arc at peak (8.0M arcs took 2.0 GB), so an
+# admitted build stays near 2 GB.
+MAX_ARCS = 2**23
+
+
+def check_arc_budget(num_arcs: int, what: str) -> None:
+    """Refuse a construction whose arc count, known before building, exceeds MAX_ARCS."""
+    if num_arcs > MAX_ARCS:
+        raise SizeGuardError(f"{what} would have {num_arcs} arcs, above the budget of {MAX_ARCS}")
 
 
 @dataclass(frozen=True)
@@ -170,9 +183,6 @@ class ReluNetwork:
                 self._w.tolist(),
             )
         )
-
-    def bias_of(self, layer: int, index: int) -> float:
-        return float(self._bias_arrays[layer - 1][index])
 
     @property
     def biases_by_layer(self):
@@ -454,10 +464,7 @@ def min2_gadget() -> ReluNetwork:
     Depth 2, width 1, size 1; all biases zero, so the output scales
     linearly under non-negative input scaling.
     """
-    b = NetworkBuilder(2)
-    x1, x2 = b.input_refs()
-    b.new_layer()
-    return b.finish([min_pair(b, x1, x2)])
+    return min_n_gadget(2)
 
 
 def min_n_gadget(n: int) -> ReluNetwork:
@@ -497,9 +504,12 @@ def unfold(cell: ReluNetwork, steps: int, feedback: dict) -> ReluNetwork:
     fed-back values to be non-negative at intermediate steps; every state
     vector in this package (truncated table values in ]0, 2], running
     profit sums) satisfies that.
+    The result has at most ``steps * cell.num_arcs`` arcs (exactly that
+    many when every output is fed back), checked against the budget first.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    check_arc_budget(steps * cell.num_arcs, f"unfolding {steps} steps")
     n_in, n_out = cell.n_inputs, cell.n_outputs
     pairs = sorted(feedback.items())
     out_idx = [o for o, _ in pairs]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import co_builders, dp_nn, fptas_nn, instance_gen, knapsack_oracles
+from . import co_builders, dp_nn, fptas_nn, instance_gen
 from .instance_gen import GRID_QUANTUM, GenConfig, SplitMix64
 from .knapsack_oracles import (
     KnapsackInstance,
@@ -66,7 +66,12 @@ def grid_values(rng: SplitMix64, count: int, low_steps: int, high_steps: int) ->
 
 
 def capped_instance(seed: int, p_star: int, max_items: int) -> KnapsackInstance:
-    """Deterministically find a generated instance with at most `max_items` items."""
+    """Deterministically find a generated instance with at most `max_items` items.
+
+    Only p_star = 1 yields one-item instances, so a cap no instance meets is refused.
+    """
+    if max_items < 1 or max_items < 2 <= p_star:
+        raise ValueError(f"no generated instance for p_star = {p_star} has <= {max_items} items")
     bump = 0
     while True:
         inst = instance_gen.gen_knapsack(GenConfig(seed + bump * 0x9E3779B9, p_star))

@@ -1,18 +1,6 @@
-"""Shared test helpers: deterministic instance streams and grid-valued probes."""
+"""Shared test helpers: deterministic instance streams."""
 
-import numpy as np
-
-from dpnets.instance_gen import GRID_QUANTUM, GenConfig, SplitMix64, gen_knapsack
-
-
-def capped_instance(seed, p_star, max_items):
-    """First generated instance for (seed, p_star) with at most max_items items."""
-    bump = 0
-    while True:
-        inst = gen_knapsack(GenConfig(seed + bump * 0x9E3779B9, p_star))
-        if inst.n <= max_items:
-            return inst
-        bump += 1
+from dpnets.verify import capped_instance
 
 
 def instance_stream(base_seed, count, p_star_lo, p_star_hi, max_items):
@@ -22,8 +10,3 @@ def instance_stream(base_seed, count, p_star_lo, p_star_hi, max_items):
         capped_instance(base_seed + k, p_star_lo + k % span, max_items)
         for k in range(count)
     ]
-
-
-def grid_array(rng: SplitMix64, count, low_steps, high_steps):
-    """Uniform multiples of 2**-26 with step counts in [low_steps, high_steps]."""
-    return np.array([rng.randint(low_steps, high_steps) * GRID_QUANTUM for _ in range(count)])

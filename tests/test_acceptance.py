@@ -27,9 +27,9 @@ from dpnets.knapsack_oracles import (
     optimum_value,
     subset_profiles,
 )
-from dpnets.verify import SuiteResult, probe_dp_cell, probe_fptas_cell
+from dpnets.verify import SuiteResult, capped_instance, probe_dp_cell, probe_fptas_cell
 
-from conftest import capped_instance, instance_stream
+from conftest import instance_stream
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 STATE_TOL = 1e-9

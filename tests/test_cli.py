@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from dpnets.cli import main
+from dpnets.verify import capped_instance
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -140,6 +141,27 @@ def test_bench_csv_shape(capsys, tmp_path):
 def test_bench_guard(capsys):
     with pytest.raises(SystemExit):
         main(["bench", "--max-items", "30"])
+
+
+def test_bench_refuses_unreachable_item_cap(capsys):
+    code, out, err = run_cli(["bench", "--max-items", "1", "--trials", "1", "--p-star", "30"], capsys)
+    assert code == 1
+    assert err.startswith("error:") and not out
+    assert capped_instance(5, 1, 1).n == 1
+
+
+def test_solve_exact_refuses_p_star_below_optimum(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"profits": [5, 6, 7, 8], "sizes": [0.2, 0.2, 0.2, 0.9]}))
+    code, out, err = run_cli(["solve-exact", "--instance", str(path), "--p-star", "4"], capsys)
+    assert code == 1
+    assert err.startswith("error:") and not out
+
+
+def test_solve_fptas_refuses_resolution_over_budget(instance_file, capsys):
+    code, out, err = run_cli(["solve-fptas", "--instance", instance_file, "--capital-p", "4000"], capsys)
+    assert code == 1
+    assert err.startswith("error:") and not out
 
 
 def test_verify_passes(capsys):

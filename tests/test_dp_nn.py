@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from dpnets.dp_nn import (
     solve_exact,
     unfold_dp,
 )
+from dpnets.errors import SizeGuardError
 from dpnets.instance_gen import SplitMix64
 from dpnets.knapsack_oracles import (
     KnapsackInstance,
@@ -15,9 +18,10 @@ from dpnets.knapsack_oracles import (
     dp_table,
     optimum_value,
 )
-from dpnets.verify import SuiteResult, probe_dp_cell
+from dpnets.relu_core import MAX_ARCS
+from dpnets.verify import SuiteResult, grid_values, probe_dp_cell
 
-from conftest import grid_array, instance_stream
+from conftest import instance_stream
 
 
 def _dp_step(column, p_i, s_i):
@@ -60,7 +64,7 @@ def test_cell_random_steps_against_oracle():
     for p_star in (1, 2, 5, 9):
         cell = build_dp_cell(p_star)
         for _ in range(100):
-            col = grid_array(rng, p_star, 1, 2**27)
+            col = grid_values(rng, p_star, 1, 2**27)
             col.sort()  # monotone in p, as real table columns are
             p_i = rng.randint(1, p_star + 2)
             s_i = rng.randint(1, 2**26) * 2.0**-26
@@ -187,3 +191,26 @@ def test_gate_dichotomy_on_recorded_runs():
                 for k in range(1, p):
                     want = prev[p - k - 1] if k == p_i else 0.0
                     assert l2[cell.idx_selector(p, k)] == want
+
+
+def test_arc_count_matches_closed_form():
+    for p_star in (1, 2, 7, 50):
+        assert build_dp_cell(p_star).net.num_arcs == 2 * p_star**2 + 4 * p_star
+
+
+def test_arc_budget_refuses_before_building():
+    # The budget admits p* = 2047 by the closed form; no cell near it is built.
+    assert 2 * 2047**2 + 4 * 2047 <= MAX_ARCS < 2 * 2048**2 + 4 * 2048
+    assert 30000 * (2 * 12**2 + 4 * 12) > MAX_ARCS
+    for refused in (lambda: build_dp_cell(2048), lambda: unfold_dp(12, 30000)):
+        start = time.perf_counter()
+        with pytest.raises(SizeGuardError):
+            refused()
+        assert time.perf_counter() - start < 1.0
+
+
+def test_solve_exact_refuses_p_star_below_optimum():
+    inst = KnapsackInstance((5, 6, 7, 8), (0.2, 0.2, 0.2, 0.9))
+    with pytest.raises(ValueError, match="does not bound the optimum"):
+        solve_exact(inst, 4)
+    assert solve_exact(inst).value == brute_force(inst).value == 18

@@ -1,10 +1,11 @@
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from dpnets.dp_nn import build_dp_cell, run_recurrent
-from dpnets.errors import NumericOverflowError
+from dpnets.errors import NumericOverflowError, SizeGuardError
 from dpnets.fptas_nn import (
     build_fptas_cell,
     fptas_backtrack,
@@ -21,9 +22,10 @@ from dpnets.knapsack_oracles import (
     brute_force,
     fptas_reference,
 )
-from dpnets.verify import SuiteResult, probe_fptas_cell
+from dpnets.relu_core import MAX_ARCS
+from dpnets.verify import SuiteResult, capped_instance, probe_fptas_cell
 
-from conftest import capped_instance, instance_stream
+from conftest import instance_stream
 
 
 def test_cell_layer_sizes_example():
@@ -189,3 +191,32 @@ def test_g_range_and_two_means_nothing_asserted():
         table = run_fptas(build_fptas_cell(6), inst).table
         assert np.all(table.values[1:, :] >= 0.0)
         assert np.all(table.values[1:, :] <= 2.0)
+
+
+def _arcs(P):
+    return (19 * P * P + 21 * P + 8) // 2
+
+
+def test_arc_count_matches_closed_form():
+    for P in (1, 2, 5, 20, 60):
+        assert build_fptas_cell(P).net.num_arcs == _arcs(P)
+
+
+def test_arc_budget_refuses_before_building():
+    # The budget admits P = 939 by the closed form; no cell near it is built.
+    assert _arcs(939) <= MAX_ARCS < _arcs(940)
+    start = time.perf_counter()
+    with pytest.raises(SizeGuardError):
+        build_fptas_cell(940)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_network_and_reference_share_the_exact_range():
+    cell = build_fptas_cell(4)
+    at_edge = KnapsackInstance((2**48 - 2,), (0.5,))  # 2P(sum + max + P) == 2**52
+    with pytest.raises(NumericOverflowError):
+        run_fptas(cell, at_edge)
+    with pytest.raises(NumericOverflowError):
+        fptas_reference(at_edge, 4)
+    inside = KnapsackInstance((2**48 - 3,), (0.5,))
+    assert np.array_equal(run_fptas(cell, inside).table.values, fptas_reference(inside, 4).values)

@@ -4,17 +4,22 @@ import math
 import numpy as np
 import pytest
 
-from dpnets.errors import ConstructionError, NumericOverflowError, ShapeMismatchError
+from dpnets.errors import (
+    ConstructionError,
+    NumericOverflowError,
+    ShapeMismatchError,
+    SizeGuardError,
+)
 from dpnets.instance_gen import SplitMix64
 from dpnets.relu_core import (
+    MAX_ARCS,
     NetworkBuilder,
     ReluNetwork,
     min2_gadget,
     min_n_gadget,
     unfold,
 )
-
-from conftest import grid_array
+from dpnets.verify import grid_values
 
 
 def test_min2_examples():
@@ -72,7 +77,7 @@ def test_min_n_against_scan():
     rng = SplitMix64(99)
     net = min_n_gadget(7)
     for _ in range(1000):
-        xs = grid_array(rng, 7, -(2**27), 2**27)
+        xs = grid_values(rng, 7, -(2**27), 2**27)
         assert net.evaluate(xs)[0] == np.min(xs)
 
 
@@ -86,14 +91,14 @@ def test_positive_homogeneity():
     rng = SplitMix64(5)
     net = min_n_gadget(5)
     for alpha in (0.0, 0.5, 1.0, 2.0, 4.0):
-        xs = grid_array(rng, 5, 0, 2**27)
+        xs = grid_values(rng, 5, 0, 2**27)
         assert net.evaluate(alpha * xs)[0] == alpha * net.evaluate(xs)[0]
 
 
 def test_determinism():
     rng = SplitMix64(17)
     net = min_n_gadget(6)
-    xs = grid_array(rng, 6, -(2**27), 2**27)
+    xs = grid_values(rng, 6, -(2**27), 2**27)
     a = net.evaluate(xs)
     b = net.evaluate(xs)
     assert np.array_equal(a, b)
@@ -117,8 +122,8 @@ def test_piecewise_linearity_spot_check():
     rng = SplitMix64(23)
     net = min_n_gadget(5)
     L = _lipschitz_bound(net)
-    x = grid_array(rng, 5, -(2**26), 2**26)
-    y = grid_array(rng, 5, -(2**26), 2**26)
+    x = grid_values(rng, 5, -(2**26), 2**26)
+    y = grid_values(rng, 5, -(2**26), 2**26)
     ts = np.linspace(0.0, 1.0, 1001)
     vals = [net.evaluate(x + t * (y - x))[0] for t in ts]
     step = (ts[1] - ts[0]) * np.max(np.abs(y - x))
@@ -163,7 +168,7 @@ def test_unfold_one_step_is_identity_modulo_layout():
     u = unfold(cell, 1, {0: 0})
     rng = SplitMix64(31)
     for _ in range(50):
-        a, b = grid_array(rng, 2, -(2**27), 2**27)
+        a, b = grid_values(rng, 2, -(2**27), 2**27)
         assert u.evaluate([a, b])[0] == cell.evaluate([a, b])[0]
     assert u.stats() == cell.stats()
 
@@ -202,8 +207,8 @@ def test_unfold_equals_sequential_application():
         u = unfold(cell, steps, feedback)
         fed = sorted(feedback.values())
         ext = [i for i in range(n_in) if i not in set(fed)]
-        init = grid_array(rng, len(fed), 0, 2**26)
-        externals = [grid_array(rng, len(ext), -(2**26), 2**26) for _ in range(steps)]
+        init = grid_values(rng, len(fed), 0, 2**26)
+        externals = [grid_values(rng, len(ext), -(2**26), 2**26) for _ in range(steps)]
         # sequential reference
         state = dict(zip(fed, init))
         for t in range(steps):
@@ -232,6 +237,13 @@ def test_unfold_rejects_bad_feedback():
         unfold(cell, 0, {0: 0})
 
 
+def test_unfold_arc_budget():
+    cell = min2_gadget()
+    steps = MAX_ARCS // cell.num_arcs
+    with pytest.raises(SizeGuardError):
+        unfold(cell, steps + 1, {0: 0})
+
+
 def test_serialization_round_trip():
     nets = [min2_gadget(), min_n_gadget(7)]
     b = NetworkBuilder(2)
@@ -245,5 +257,5 @@ def test_serialization_round_trip():
         back = ReluNetwork.from_json_dict(json.loads(text))
         assert back == net
         rng = SplitMix64(3)
-        xs = grid_array(rng, net.layer_sizes[0], -(2**20), 2**20)
+        xs = grid_values(rng, net.layer_sizes[0], -(2**20), 2**20)
         assert np.array_equal(back.evaluate(xs), net.evaluate(xs))
