@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConstructionError
 from .knapsack_oracles import DpTable, KnapsackInstance, Solution, backtrack, optimum_value
-from .relu_core import NetworkBuilder, ReluNetwork, affine_sum, check_arc_budget, unfold
+from .relu_core import ReluNetwork, check_arc_budget, network_from_blocks, unfold
 
 __all__ = [
     "DpCell",
@@ -42,13 +42,19 @@ def _cell_arcs(p_star: int) -> int:
 class DpCell:
     """One dynamic-program step as a depth-4 network.
 
-    Inputs: f_in(1..p_star), p_in, s_in  (p_star + 2 neurons).
-    Hidden: 2*p_star profit gates, p_star*(p_star-1)/2 selectors,
-            p_star minimum helpers.
-    Outputs: f_out(1..p_star).
+    Layers, neurons in order (p, k run over 1..p_star):
 
-    The accessor methods map (p, k) coordinates to indices inside the
-    corresponding hidden layer so tests can probe activations directly.
+    0. f_in(1..p_star), p_in, s_in  (p_star + 2 neurons).
+    1. Profit gates gate+(k) = relu(2 p_in - 2k), then
+       gate-(k) = relu(2k - 2 p_in)  (2*p_star).
+    2. Selectors relu(f_in(p - k) - gate+(k) - gate-(k)) for k < p,
+       row-major in p: the strict lower triangle  (p_star*(p_star-1)/2).
+    3. Minimum helpers relu(f_in(p) - s_in - sum_k selector(p, k))  (p_star).
+    4. Outputs f_out(p) = f_in(p) - helper(p)  (p_star).
+
+    A neuron's arcs follow the order of its terms above.  The accessor
+    methods map (p, k) coordinates to indices inside the corresponding
+    hidden layer so tests can probe activations directly.
     """
 
     net: ReluNetwork
@@ -85,32 +91,23 @@ def build_dp_cell(p_star: int) -> DpCell:
         raise ValueError("p_star must be >= 1")
     num_arcs = _cell_arcs(p_star)
     check_arc_budget(num_arcs, f"the exact cell for p_star = {p_star}")
-    b = NetworkBuilder(p_star + 2)
-    refs = b.input_refs()
-    f_in = refs[:p_star]  # f_in[p - 1] is f_in(p)
-    p_in = refs[p_star]
-    s_in = refs[p_star + 1]
-
-    b.new_layer()
-    gate_plus = [b.relu(2.0 * p_in - 2.0 * k) for k in range(1, p_star + 1)]
-    gate_minus = [b.relu(2.0 * k - 2.0 * p_in) for k in range(1, p_star + 1)]
-
-    b.new_layer()
-    selector = {}
-    for p in range(1, p_star + 1):
-        for k in range(1, p):
-            selector[p, k] = b.relu(
-                f_in[p - k - 1] - gate_plus[k - 1] - gate_minus[k - 1]
-            )
-
-    b.new_layer()
-    min_helper = []
-    for p in range(1, p_star + 1):
-        picked = affine_sum((selector[p, k] for k in range(1, p)), coeff=-1.0)
-        min_helper.append(b.relu(f_in[p - 1] - s_in + picked))
-
-    outputs = [f_in[p - 1] - min_helper[p - 1] for p in range(1, p_star + 1)]
-    net = b.finish(outputs)
+    rows = np.arange(p_star)  # row p is index p - 1
+    p_in, s_in = p_star, p_star + 1
+    sel_p, sel_k = np.tril_indices(p_star, -1)
+    sel_p += 1
+    sel_k += 1
+    sel = np.arange(sel_p.size)
+    # One (blocks, bias) entry per layer of the DpCell layout.
+    layers = [
+        ([(0, p_in, np.arange(2 * p_star), np.repeat([2.0, -2.0], p_star))],
+         np.concatenate([-2.0 * (rows + 1), 2.0 * (rows + 1)])),
+        ([(0, sel_p - sel_k - 1, sel, 1.0), (1, sel_k - 1, sel, -1.0),
+          (1, p_star + sel_k - 1, sel, -1.0)],
+         np.zeros(sel.size)),
+        ([(0, rows, rows, 1.0), (0, s_in, rows, -1.0), (2, sel, sel_p - 1, -1.0)], np.zeros(p_star)),
+        ([(0, rows, rows, 1.0), (3, rows, rows, -1.0)], np.zeros(p_star)),
+    ]
+    net = network_from_blocks(p_star + 2, layers)
     if net.num_arcs != num_arcs:
         raise ConstructionError(f"built {net.num_arcs} arcs, closed form says {num_arcs}")
     return DpCell(net, p_star)

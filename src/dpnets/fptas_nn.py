@@ -43,7 +43,7 @@ from .knapsack_oracles import (
     coarse_index_with_item,
     exact_profit_budget,
 )
-from .relu_core import NetworkBuilder, ReluNetwork, affine_sum, check_arc_budget
+from .relu_core import ReluNetwork, check_arc_budget, network_from_blocks
 
 __all__ = [
     "FptasCell",
@@ -59,14 +59,42 @@ __all__ = [
 ]
 
 
+def _cell_arcs(resolution: int) -> int:
+    """Arcs of the rounded cell at resolution P: 3 granularity, 5P**2 + 4P - 1
+    gate, 3P(P + 1) keep, P(P + 2) minimum and P(P + 3)/2 + 2 output arcs,
+    (19P**2 + 21P + 8)/2 in all."""
+    P = resolution
+    return (19 * P * P + 21 * P + 8) // 2
+
+
 @dataclass(frozen=True)
 class FptasCell:
     """One rounded-recursion step as a depth-5 network.
 
-    Inputs:  g_in(1..P), total_in, p_in, s_in          (P + 3 neurons).
-    Hidden:  2 granularity neurons; 2*P**2 + 2*P selector gates;
-             P**2 + P keep neurons; P minimum helpers.
-    Outputs: g_out(1..P), total_out = total_in + p_in  (P + 1 neurons).
+    Layers, neurons in order; T = P(P + 1)/2 pairs (p, k) lie on each
+    side, row-major in p: "upper" p <= k (skip the item), "lower" k <= p
+    (take it).
+
+    0. g_in(1..P), total_in, p_in, s_in  (P + 3 neurons).
+    1. Scaled granularities gate_old = relu(total_in - P), then
+       gate_new = relu(total_in + p_in - P)  (2).
+    2. Selector gates (4T), each side's pair vanishing exactly at its
+       re-indexed row and >= 2 elsewhere:
+       skip+ = relu(2p gate_new - 2k gate_old + 2P(p - k)) and
+       skip- = relu(2(k - 1) gate_old - 2p gate_new + 2P(k - 1 - p) + 2)
+       over the upper pairs, then take+ = relu(2p gate_new - 2k gate_old
+       - 2P p_in + 2P(p - k)) and take- = relu(2(k - 1) gate_old
+       - 2p gate_new + 2P p_in + 2P(k - 1 - p) + 2) over the lower pairs.
+    3. Keep neurons (2T): relu(2 - g_in(k) - skip+ - skip-) over the
+       upper pairs, then relu(g_in(k) - take+ - take-) over the lower.
+    4. Minimum helpers relu(h1(p) - s_in - h2(p))  (P), where
+       h1(p) = 2 - sum_{k >= p} skip keep(p, k) and
+       h2(p) = sum_{k <= p} take keep(p, k).
+    5. Outputs g_out(p) = h1(p) - helper(p), then
+       total_out = total_in + p_in  (P + 1).
+
+    A neuron's arcs follow the order of its terms above; zero
+    coefficients (gate_old at k = 1) have no arc.
 
     ``max_profit_with_item`` bounds sum(profits) + max(profit) for exact
     evaluation; :func:`run_fptas` refuses instances beyond it.
@@ -75,10 +103,6 @@ class FptasCell:
     net: ReluNetwork
     resolution: int  # P
     max_profit_with_item: int
-
-    # Layer-2/3 blocks are laid out triangle by triangle, row-major in p.
-    # "upper" pairs have p <= k (skip-item side), "lower" pairs k <= p
-    # (take-item side).
 
     def _start_upper(self, p: int) -> int:
         return (p - 1) * self.resolution - (p - 1) * (p - 2) // 2
@@ -130,77 +154,43 @@ def build_fptas_cell(resolution: int) -> FptasCell:
     P = resolution
     if P < 1:
         raise ValueError("resolution must be >= 1")
-    # 3 granularity, 5P**2 + 4P - 1 gate, 3P(P + 1) keep, P(P + 2) minimum
-    # and P(P + 3)/2 + 2 output arcs.
-    num_arcs = (19 * P * P + 21 * P + 8) // 2
+    num_arcs = _cell_arcs(P)
     check_arc_budget(num_arcs, f"the rounded cell at resolution {P}")
-    b = NetworkBuilder(P + 3)
-    refs = b.input_refs()
-    g_in = refs[:P]  # g_in[p - 1] is g_in(p)
-    total_in = refs[P]
-    p_in = refs[P + 1]
-    s_in = refs[P + 2]
-
-    # Scaled granularities: value P * (d - 1) = max(0, total - P), an integer.
-    b.new_layer()
-    gate_old = b.relu(total_in - P)
-    gate_new = b.relu(total_in + p_in - P)
-
-    # Selector gates: for each row p, the pair over k vanishes exactly at
-    # the re-indexed row (k = p1 on the skip side, k = p2 on the take
-    # side) and is >= 2 elsewhere; pre-activations are even integers.
-    b.new_layer()
-    upper = [(p, k) for p in range(1, P + 1) for k in range(p, P + 1)]
-    lower = [(p, k) for p in range(1, P + 1) for k in range(1, p + 1)]
-    skip_plus = {}
-    skip_minus = {}
-    take_plus = {}
-    take_minus = {}
-    for p, k in upper:
-        skip_plus[p, k] = b.relu(2.0 * p * gate_new - 2.0 * k * gate_old + 2.0 * P * (p - k))
-    for p, k in upper:
-        skip_minus[p, k] = b.relu(
-            2.0 * (k - 1) * gate_old - 2.0 * p * gate_new + 2.0 * P * (k - 1 - p) + 2.0
-        )
-    for p, k in lower:
-        take_plus[p, k] = b.relu(
-            2.0 * p * gate_new - 2.0 * k * gate_old - 2.0 * P * p_in + 2.0 * P * (p - k)
-        )
-    for p, k in lower:
-        take_minus[p, k] = b.relu(
-            2.0 * (k - 1) * gate_old
-            - 2.0 * p * gate_new
-            + 2.0 * P * p_in
-            + 2.0 * P * (k - 1 - p)
-            + 2.0
-        )
-
-    # Keep neurons: exactly one per row survives its gates and carries
-    # 2 - g_in(k) (skip side) or g_in(k) (take side).
-    b.new_layer()
-    skip_keep = {}
-    take_keep = {}
-    for p, k in upper:
-        skip_keep[p, k] = b.relu(2.0 - g_in[k - 1] - skip_plus[p, k] - skip_minus[p, k])
-    for p, k in lower:
-        take_keep[p, k] = b.relu(g_in[k - 1] - take_plus[p, k] - take_minus[p, k])
-
-    # h1(p) = 2 - sum_k skip_keep(p, k) defaults to 2 (nothing reachable);
-    # h2(p) = sum_k take_keep(p, k) defaults to 0 (item alone suffices).
-    h1 = {}
-    h2 = {}
-    for p in range(1, P + 1):
-        h1[p] = affine_sum(
-            (skip_keep[p, k] for k in range(p, P + 1)), coeff=-1.0, const=2.0
-        )
-        h2[p] = affine_sum(take_keep[p, k] for k in range(1, p + 1))
-
-    b.new_layer()
-    min_helper = [b.relu(h1[p] - s_in - h2[p]) for p in range(1, P + 1)]
-
-    outputs = [h1[p] - min_helper[p - 1] for p in range(1, P + 1)]
-    outputs.append(total_in + p_in)
-    net = b.finish(outputs)
+    total_in, p_in, s_in = P, P + 1, P + 2  # g_in(p) is input p - 1
+    gate_old, gate_new = 0, 1
+    rows = np.arange(P)
+    up_p, up_k = np.triu_indices(P)
+    lo_p, lo_k = np.tril_indices(P)
+    for a in (up_p, up_k, lo_p, lo_k):
+        a += 1
+    T = up_p.size
+    pair = np.arange(T)
+    skip_plus, skip_minus, take_plus, take_minus = (pair + j * T for j in range(4))
+    skip_keep, take_keep = pair, pair + T
+    # One (blocks, bias) entry per layer of the FptasCell layout.
+    layers = [
+        ([(0, total_in, [gate_old, gate_new], 1.0), (0, p_in, gate_new, 1.0)],
+         np.full(2, -float(P))),
+        ([(1, gate_new, skip_plus, 2.0 * up_p), (1, gate_old, skip_plus, -2.0 * up_k),
+          (1, gate_old, skip_minus, 2.0 * (up_k - 1)), (1, gate_new, skip_minus, -2.0 * up_p),
+          (1, gate_new, take_plus, 2.0 * lo_p), (1, gate_old, take_plus, -2.0 * lo_k),
+          (0, p_in, take_plus, -2.0 * P),
+          (1, gate_old, take_minus, 2.0 * (lo_k - 1)), (1, gate_new, take_minus, -2.0 * lo_p),
+          (0, p_in, take_minus, 2.0 * P)],
+         np.concatenate([2.0 * P * (up_p - up_k), 2.0 * P * (up_k - 1 - up_p) + 2.0,
+                         2.0 * P * (lo_p - lo_k), 2.0 * P * (lo_k - 1 - lo_p) + 2.0])),
+        ([(0, up_k - 1, skip_keep, -1.0), (2, skip_plus, skip_keep, -1.0),
+          (2, skip_minus, skip_keep, -1.0),
+          (0, lo_k - 1, take_keep, 1.0), (2, take_plus, take_keep, -1.0),
+          (2, take_minus, take_keep, -1.0)],
+         np.concatenate([np.full(T, 2.0), np.zeros(T)])),
+        # h1(p) defaults to 2 (nothing reachable), h2(p) to 0 (item alone suffices).
+        ([(3, skip_keep, up_p - 1, -1.0), (0, s_in, rows, -1.0), (3, take_keep, lo_p - 1, -1.0)],
+         np.full(P, 2.0)),
+        ([(3, skip_keep, up_p - 1, -1.0), (4, rows, rows, -1.0), (0, [total_in, p_in], P, 1.0)],
+         np.append(np.full(P, 2.0), 0.0)),
+    ]
+    net = network_from_blocks(P + 3, layers)
     if net.num_arcs != num_arcs:
         raise ConstructionError(f"built {net.num_arcs} arcs, closed form says {num_arcs}")
     return FptasCell(net, P, exact_profit_budget(P))

@@ -35,12 +35,15 @@ __all__ = [
     "min_n_gadget",
     "min_pair",
     "min_reduce_many",
+    "network_from_blocks",
     "unfold",
 ]
 
-# Arc budget of the knapsack cells and of unfolding.  Building costs
-# about 250 bytes per arc at peak (8.0M arcs took 2.0 GB), so an
-# admitted build stays near 2 GB.
+# Arc budget of the knapsack cells and of unfolding.  Building a knapsack
+# cell and evaluating it once peaks at about 90 bytes per arc (the 8.4M
+# arcs at p* = 2047 took 716 MB).  Unfolding, still built neuron by
+# neuron, needs about 150 bytes per arc (measured at 1.0M arcs), about
+# 1.3 GB at the budget.
 MAX_ARCS = 2**23
 
 
@@ -282,6 +285,36 @@ class ReluNetwork:
     def from_json_dict(cls, doc: dict) -> "ReluNetwork":
         return cls(doc["layers"], [tuple(a) for a in doc["arcs"]],
                    [tuple(b) for b in doc.get("biases", [])])
+
+
+def network_from_blocks(n_inputs: int, layers) -> ReluNetwork:
+    """Assemble a network from numpy arc blocks, layer by layer.
+
+    ``layers`` holds one ``(blocks, bias)`` pair per non-input layer,
+    the output layer last; the bias array fixes the layer's size.  A
+    block is ``(src_layer, src_index, dst_index, weight)``, scalars
+    broadcasting against arrays.  Arcs come neuron by neuron; arcs into
+    one neuron keep the order in which the blocks list them, which is
+    the term order :class:`NetworkBuilder` gives the same affine
+    expressions.  Zero weights are dropped, as the builder drops them.
+    """
+    sizes = [n_inputs]
+    arcs = []
+    biases = []
+    for layer, (blocks, bias) in enumerate(layers, start=1):
+        parts = [np.broadcast_arrays(*map(np.atleast_1d, block)) for block in blocks]
+        sl, si, ti = (np.concatenate([p[j] for p in parts], dtype=np.int64) for j in range(3))
+        w = np.concatenate([p[3] for p in parts], dtype=np.float64)
+        order = np.argsort(ti, kind="stable")
+        order = order[w[order] != 0.0]
+        arcs.append((sl[order], si[order], np.full(order.size, layer), ti[order], w[order]))
+        sizes.append(len(bias))
+        biases.append(np.asarray(bias, dtype=np.float64))
+    # Merge column by column, freeing each column's pieces as it goes.
+    columns = [list(column) for column in zip(*arcs)]
+    del arcs
+    sl, si, tl, ti, w = (np.concatenate(columns.pop(0)) for _ in range(5))
+    return ReluNetwork._from_arrays(sizes, sl, si, tl, ti, w, biases)
 
 
 class Affine:
