@@ -59,7 +59,6 @@ from .knapsack_oracles import (
     optimum_value,
 )
 from .relu_core import (
-    NetworkBuilder,
     NetworkStats,
     ReluNetwork,
     min2_gadget,

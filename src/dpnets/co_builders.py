@@ -28,14 +28,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .errors import SizeGuardError
-from .relu_core import (
-    Affine,
-    NetworkBuilder,
-    ReluNetwork,
-    affine_sum,
-    max_pair,
-    min_reduce_many,
-)
+from .relu_core import AffineRows, ReluNetwork, min_reduce_many, network_from_blocks, relu_layer
 
 __all__ = [
     "CspNetwork",
@@ -188,15 +181,17 @@ def build_lcs_cell(value_bound: int) -> ReluNetwork:
     if value_bound < 1:
         raise ValueError("value_bound must be >= 1")
     gate = 2.0 * (value_bound + 1)
-    b = NetworkBuilder(5)
-    f_diag, f_up, f_left, x, y = b.input_refs()
-    b.new_layer()
-    eq_plus = b.relu(gate * x - gate * y)
-    eq_minus = b.relu(gate * y - gate * x)
-    best_old = max_pair(b, f_up, f_left)
-    b.new_layer()
-    match = b.relu(f_diag + 1.0 - best_old - eq_plus - eq_minus)
-    return b.finish([best_old + match])
+    inputs = AffineRows.refs(0, 5)
+    f_diag, f_up, f_left, x, y = (inputs.take(i) for i in range(5))
+    layers = []
+    # max(f_up, f_left) = f_up + relu(f_left - f_up)
+    first = relu_layer(layers, AffineRows.stack(
+        [x.scale(gate) - y.scale(gate), y.scale(gate) - x.scale(gate), f_left - f_up]
+    ))
+    eq_plus, eq_minus, up_to_left = (first.take(i) for i in range(3))
+    best_old = f_up + up_to_left
+    match = relu_layer(layers, f_diag.shift(1.0) - best_old - eq_plus - eq_minus)
+    return network_from_blocks(5, [*layers, (best_old + match).layer()])
 
 
 def run_lcs(pair: IntSequencePair) -> int:
@@ -238,11 +233,11 @@ def build_bellman_ford_cell(graph: WeightedGraph) -> ReluNetwork:
     width n * floor(n / 2).
     """
     n = graph.n
-    b = NetworkBuilder(n)
-    f_prev = b.input_refs()
-    groups = [[f_prev[u] + float(graph.lengths[u][v]) for u in range(n)] for v in range(n)]
-    outs = min_reduce_many(b, groups)
-    return b.finish(outs)
+    # group v holds f_prev[u] + c(u, v) for u = 0..n-1
+    shifted = AffineRows.refs(0, n).take(np.tile(np.arange(n), n)).shift(graph.lengths.T.ravel())
+    layers = []
+    outs = min_reduce_many(layers, shifted, np.full(n, n))
+    return network_from_blocks(n, [*layers, outs.layer()])
 
 
 def run_bellman_ford(graph: WeightedGraph, rounds: int | None = None) -> np.ndarray:
@@ -288,15 +283,12 @@ def build_min_plus_square_cell(n: int) -> ReluNetwork:
     """
     if n < 2:
         raise ValueError("need at least two vertices")
-    b = NetworkBuilder(n * n)
-    d = b.input_refs()
-    groups = [
-        [d[u * n + k] + d[k * n + v] for k in range(n)]
-        for u in range(n)
-        for v in range(n)
-    ]
-    outs = min_reduce_many(b, groups)
-    return b.finish(outs)
+    d = AffineRows.refs(0, n * n)
+    # group (u, v) holds d(u, k) + d(k, v) for k = 0..n-1
+    u, v, k = (a.ravel() for a in np.indices((n, n, n)))
+    layers = []
+    outs = min_reduce_many(layers, d.take(u * n + k) + d.take(k * n + v), np.full(n * n, n))
+    return network_from_blocks(n * n, [*layers, outs.layer()])
 
 
 def run_apsp(graph: WeightedGraph) -> np.ndarray:
@@ -411,61 +403,74 @@ def build_csp_network(n: int, c_star: int, resource_bound: float, source: int = 
     gate = 2.0 * big_r
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     pair_pos = {uv: i for i, uv in enumerate(pairs)}
-
-    b = NetworkBuilder(2 * len(pairs))
-    refs = b.input_refs()
-
-    def c_ref(u, v):
-        return refs[pair_pos[u, v]]
-
-    def r_ref(u, v):
-        return refs[len(pairs) + pair_pos[u, v]]
-
+    inputs = AffineRows.refs(0, 2 * len(pairs))  # lengths c(u, v), then resources r(u, v)
     targets = [v for v in range(n) if v != source]
-    b.new_layer()
-    gates = {}
-    for u, v in pairs:
-        if v == source:
-            continue
-        for k in range(1, c_star + 1):
-            gates[u, v, k] = (
-                b.relu(gate * c_ref(u, v) - gate * k),
-                b.relu(gate * k - gate * c_ref(u, v)),
-            )
+    target_pos = {v: j for j, v in enumerate(targets)}
+    layers = []
 
-    f: dict = {}
+    # Gate pair (plus, minus) of the test c(u, v) == k, for every edge into a target.
+    gated = [uv for uv in pairs if uv[1] != source]
+    gate_pos = {uv: i for i, uv in enumerate(gated)}
+    lengths = inputs.take(np.repeat([pair_pos[uv] for uv in gated], c_star)).scale(gate)
+    gate_k = gate * np.tile(np.arange(1, c_star + 1), len(gated))
+    plus, minus = lengths.shift(-gate_k), (-lengths).shift(gate_k)
+    gates = relu_layer(layers, AffineRows.stack([plus, minus]).take(
+        np.arange(2 * plus.n).reshape(2, -1).T.ravel()
+    ))
 
-    def table(c, v):
+    def gate_of(u, v, k):
+        return 2 * (gate_pos[u, v] * c_star + k - 1)
+
+    # Row 0 of the table is the source's constant 0, row 1 the constant BIG_R of
+    # a length budget c <= 0, and then f(c, v) for c = 1, 2, ... and v in targets.
+    table = AffineRows.constant([0.0, big_r])
+
+    def table_row(c, v):
         if v == source:
-            return Affine.constant(0.0)
+            return 0
         if c <= 0:
-            return Affine.constant(big_r)
-        return f[c, v]
+            return 1
+        return 2 + (c - 1) * len(targets) + target_pos[v]
 
     for c in range(1, c_star + 1):
-        b.new_layer()
-        hop = {}
+        keep_rows, keep_gates, keeps_per_hop, hop_resources = [], [], [], []
         for v in targets:
             for u in range(n):
                 if u == v:
                     continue
-                kmax = min(c if u == source else c - 1, c_star)
-                keeps = []
+                kmax = c if u == source else c - 1
                 for k in range(1, kmax + 1):
-                    plus, minus = gates[u, v, k]
-                    keeps.append(b.relu(big_r - table(c - k, u) - plus - minus))
-                hop[u, v] = affine_sum(keeps, coeff=-1.0, const=big_r)
-        groups = [
-            [table(c - 1, v)]
-            + [hop[u, v] + r_ref(u, v) for u in range(n) if u != v]
-            + [Affine.constant(big_r)]
-            for v in targets
-        ]
-        for v, expr in zip(targets, min_reduce_many(b, groups)):
-            f[c, v] = expr
+                    keep_rows.append(table_row(c - k, u))
+                    keep_gates.append(gate_of(u, v, k))
+                keeps_per_hop.append(kmax)
+                hop_resources.append(len(pairs) + pair_pos[u, v])
+        keep_gates = np.asarray(keep_gates, dtype=np.int64)
+        keeps = relu_layer(
+            layers,
+            (-table.take(keep_rows)).shift(big_r) - gates.take(keep_gates) - gates.take(keep_gates + 1),
+        )
+        # hop(u, v) = BIG_R - (sum of its keeps) + r(u, v)
+        hops = len(keeps_per_hop)
+        hop = AffineRows(
+            np.repeat(np.arange(hops), keeps_per_hop), keeps.sl, keeps.si, -keeps.coef, np.full(hops, big_r)
+        ) + inputs.take(hop_resources)
+        # group v: f(c - 1, v), the n - 1 hops into v, BIG_R
+        t = len(targets)
+        candidates = AffineRows.stack([
+            table.take([table_row(c - 1, v) for v in targets]),
+            hop,
+            AffineRows.constant(np.full(t, big_r)),
+        ])
+        order = np.concatenate(
+            [np.arange(t)[:, None], t + np.arange(hops).reshape(t, n - 1), t + hops + np.arange(t)[:, None]],
+            axis=1,
+        )
+        f_c = min_reduce_many(layers, candidates.take(order.ravel()), np.full(t, n + 1))
+        table = AffineRows.stack([table, f_c])
 
-    outputs = [f[c, v] for c in range(1, c_star + 1) for v in targets]
-    return CspNetwork(b.finish(outputs), n, c_star, source, big_r, float(resource_bound))
+    outputs = table.take(np.arange(2, table.n))
+    net = network_from_blocks(inputs.n, [*layers, outputs.layer()])
+    return CspNetwork(net, n, c_star, source, big_r, float(resource_bound))
 
 
 def run_csp(graph: WeightedGraph, c_star: int, limit) -> dict:
@@ -546,18 +551,17 @@ def build_tsp_network(n: int) -> TspNetwork:
         raise SizeGuardError("a tour needs at least two vertices")
     if n > 16:
         raise SizeGuardError(f"subset table for n = {n} > 16 is too large")
-    b = NetworkBuilder(n * (n - 1))
-    refs = b.input_refs()
+    inputs = AffineRows.refs(0, n * (n - 1))
 
     def c(u, v):
-        return refs[u * (n - 1) + (v - 1 if v > u else v)]
+        return u * (n - 1) + (v - 1 if v > u else v)
 
-    f = {}
-    for v in range(1, n):
-        f[1 << (v - 1), v] = c(0, v)
+    # f holds the rows f(T, v) of one cardinality |T|; row_of maps (T, v) to its row.
+    f = inputs.take([c(0, v) for v in range(1, n)])
+    row_of = {(1 << (v - 1), v): v - 1 for v in range(1, n)}
+    layers = []
     for t in range(2, n):
-        entries = []
-        groups = []
+        entries, prev_rows, last_hops = [], [], []
         for combo in combinations(range(1, n), t):
             mask = 0
             for v in combo:
@@ -565,13 +569,17 @@ def build_tsp_network(n: int) -> TspNetwork:
             for v in combo:
                 prev = mask ^ (1 << (v - 1))
                 entries.append((mask, v))
-                groups.append([f[prev, u] + c(u, v) for u in combo if u != v])
-        for key, expr in zip(entries, min_reduce_many(b, groups)):
-            f[key] = expr
+                for u in combo:
+                    if u != v:
+                        prev_rows.append(row_of[prev, u])
+                        last_hops.append(c(u, v))
+        paths = f.take(prev_rows) + inputs.take(last_hops)
+        f = min_reduce_many(layers, paths, np.full(len(entries), t - 1))
+        row_of = {key: j for j, key in enumerate(entries)}
     full = (1 << (n - 1)) - 1
-    closing = [f[full, u] + c(u, 0) for u in range(1, n)]
-    tour = min_reduce_many(b, [closing])[0]
-    return TspNetwork(b.finish([tour]), n)
+    closing = f.take([row_of[full, u] for u in range(1, n)]) + inputs.take([c(u, 0) for u in range(1, n)])
+    tour = min_reduce_many(layers, closing, [n - 1])
+    return TspNetwork(network_from_blocks(inputs.n, [*layers, tour.layer()]), n)
 
 
 def run_tsp(dist) -> float:

@@ -24,26 +24,23 @@ from .errors import ConstructionError, NumericOverflowError, ShapeMismatchError,
 
 __all__ = [
     "MAX_ARCS",
-    "Affine",
-    "NetworkBuilder",
+    "AffineRows",
     "NetworkStats",
     "ReluNetwork",
-    "affine_sum",
     "check_arc_budget",
-    "max_pair",
     "min2_gadget",
     "min_n_gadget",
-    "min_pair",
     "min_reduce_many",
     "network_from_blocks",
+    "relu_layer",
     "unfold",
 ]
 
 # Arc budget of the knapsack cells and of unfolding.  Building a knapsack
 # cell and evaluating it once peaks at about 90 bytes per arc (the 8.4M
-# arcs at p* = 2047 took 716 MB).  Unfolding, still built neuron by
-# neuron, needs about 150 bytes per arc (measured at 1.0M arcs), about
-# 1.3 GB at the budget.
+# arcs at p* = 2047 took 716 MB).  Unfolding peaks at about 95 bytes per
+# arc over the imported package (unfold_dp(30, 520), 1.0M arcs: 0.27 s,
+# 145 MB against 50 MB after import), about 0.8 GB at the budget.
 MAX_ARCS = 2**23
 
 
@@ -258,11 +255,6 @@ class ReluNetwork:
         off = self._offsets
         return [outs[int(off[l]) : int(off[l + 1])].copy() for l in range(len(self.layer_sizes))]
 
-    def _layer_arcs(self, layer: int):
-        """Arrays (src_layer, src_index, dst_index, weight) of arcs into `layer`."""
-        mask = self._tl == layer
-        return self._sl[mask], self._si[mask], self._ti[mask], self._w[mask]
-
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -293,10 +285,9 @@ def network_from_blocks(n_inputs: int, layers) -> ReluNetwork:
     ``layers`` holds one ``(blocks, bias)`` pair per non-input layer,
     the output layer last; the bias array fixes the layer's size.  A
     block is ``(src_layer, src_index, dst_index, weight)``, scalars
-    broadcasting against arrays.  Arcs come neuron by neuron; arcs into
-    one neuron keep the order in which the blocks list them, which is
-    the term order :class:`NetworkBuilder` gives the same affine
-    expressions.  Zero weights are dropped, as the builder drops them.
+    broadcasting against arrays.  Arcs come neuron by neuron, and arcs
+    into one neuron keep the order in which the blocks list them.  Zero
+    weights are dropped.
     """
     sizes = [n_inputs]
     arcs = []
@@ -317,178 +308,152 @@ def network_from_blocks(n_inputs: int, layers) -> ReluNetwork:
     return ReluNetwork._from_arrays(sizes, sl, si, tl, ti, w, biases)
 
 
-class Affine:
-    """An affine combination ``sum(coef * o(layer, index)) + const`` of neuron outputs.
+class AffineRows:
+    """n affine expressions ``sum(coef * o(sl, si)) + const`` over neuron outputs.
 
-    Used by :class:`NetworkBuilder` to describe pre-activations;
-    supports +, -, and scalar multiplication.
+    The terms are flat arrays ``row, sl, si, coef`` grouped by row, rows
+    in increasing order, and ``const`` holds one constant per row.
+    Within a row each source neuron ``(sl, si)`` appears once, at the
+    place where it first occurred: adding rows merges a repeated source
+    into its first occurrence and sums its coefficients in the order
+    they occurred.  A source whose coefficients cancel keeps its place;
+    only :func:`network_from_blocks` drops the zero weight.
+
+    A hidden layer is one ``AffineRows`` whose rows are the layer's
+    pre-activations (see :func:`relu_layer`).  Instances are never
+    changed in place.
     """
 
-    __slots__ = ("terms", "const")
+    __slots__ = ("row", "sl", "si", "coef", "const")
 
-    def __init__(self, terms=None, const=0.0):
-        self.terms = dict(terms) if terms else {}
-        self.const = float(const)
-
-    @classmethod
-    def ref(cls, layer: int, index: int) -> "Affine":
-        return cls({(layer, index): 1.0})
+    def __init__(self, row, sl, si, coef, const):
+        """Rows from terms already in this layout; :meth:`from_terms` makes it."""
+        self.row, self.sl, self.si, self.coef, self.const = row, sl, si, coef, const
 
     @classmethod
-    def constant(cls, value: float) -> "Affine":
-        return cls({}, value)
+    def from_terms(cls, row, sl, si, coef, const) -> "AffineRows":
+        """Rows from terms listed in any row order; repeated sources in a row merge."""
+        row, sl, si = (np.asarray(a, dtype=np.int64) for a in (row, sl, si))
+        coef = np.asarray(coef, dtype=np.float64)
+        order = np.lexsort((si, sl, row))  # stable: repeats stay in occurrence order
+        r, a, b, c = row[order], sl[order], si[order], coef[order]
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = (r[1:] != r[:-1]) | (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+        start = np.flatnonzero(first)
+        total = c[start]
+        if start.size < order.size:
+            group = np.cumsum(first) - 1
+            rank = np.arange(order.size) - start[group]
+            for k in range(1, int(rank.max()) + 1):
+                at = rank == k
+                total[group[at]] += c[at]
+        place = np.lexsort((order[start], r[start]))
+        keep = order[start][place]
+        return cls(row[keep], sl[keep], si[keep], total[place], np.asarray(const, dtype=np.float64))
 
-    def __add__(self, other):
-        if isinstance(other, Affine):
-            t = dict(self.terms)
-            for r, c in other.terms.items():
-                t[r] = t.get(r, 0.0) + c
-            return Affine(t, self.const + other.const)
-        return Affine(self.terms, self.const + float(other))
+    @classmethod
+    def refs(cls, layer: int, n: int) -> "AffineRows":
+        """Row i is the output of neuron i of `layer`."""
+        idx = np.arange(n)
+        return cls(idx, np.full(n, layer), idx, np.ones(n), np.zeros(n))
 
-    __radd__ = __add__
+    @classmethod
+    def constant(cls, values) -> "AffineRows":
+        """One row without terms per value."""
+        none = np.zeros(0, dtype=np.int64)
+        return cls(none, none, none, np.zeros(0), np.array(values, dtype=np.float64, ndmin=1))
 
-    def __neg__(self):
-        return Affine({r: -c for r, c in self.terms.items()}, -self.const)
+    @property
+    def n(self) -> int:
+        return self.const.size
 
-    def __sub__(self, other):
-        if isinstance(other, Affine):
-            return self + (-other)
-        return Affine(self.terms, self.const - float(other))
+    def take(self, idx) -> "AffineRows":
+        """The rows `idx`, in that order; a row may be taken more than once."""
+        idx = np.asarray(idx, dtype=np.int64).reshape(-1)
+        ptr = np.searchsorted(self.row, np.arange(self.n + 1))
+        first = ptr[idx]
+        count = ptr[idx + 1] - first
+        row = np.repeat(np.arange(idx.size), count)
+        term = np.arange(row.size) + np.repeat(first - (np.cumsum(count) - count), count)
+        return AffineRows(row, self.sl[term], self.si[term], self.coef[term], self.const[idx])
 
-    def __rsub__(self, other):
-        return (-self) + float(other)
-
-    def __mul__(self, scalar):
-        s = float(scalar)
-        return Affine({r: c * s for r, c in self.terms.items()}, self.const * s)
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"Affine({self.terms}, {self.const})"
-
-
-def affine_sum(exprs, coeff=1.0, const=0.0) -> Affine:
-    """Sum many affine expressions in one pass (avoids quadratic dict copying)."""
-    terms: dict = {}
-    total = float(const)
-    for e in exprs:
-        total += coeff * e.const
-        for r, c in e.terms.items():
-            terms[r] = terms.get(r, 0.0) + coeff * c
-    return Affine(terms, total)
-
-
-class NetworkBuilder:
-    """Incremental construction of a :class:`ReluNetwork`.
-
-    Usage: take input refs, open hidden layers with :meth:`new_layer`,
-    add rectified neurons with :meth:`relu` (the argument is the
-    pre-activation as an :class:`Affine` over earlier neurons), and
-    close with :meth:`finish`, whose affine expressions become the raw
-    output layer.  Skip connections fall out naturally: an expression
-    may reference neurons from any earlier layer.
-    """
-
-    def __init__(self, n_inputs: int):
-        if n_inputs < 1:
-            raise ConstructionError("need at least one input")
-        self._sizes = [n_inputs]
-        self._sl, self._si, self._tl, self._ti, self._w = [], [], [], [], []
-        self._biases = []  # one list per non-input layer
-        self._done = False
-
-    def input_refs(self):
-        return [Affine.ref(0, i) for i in range(self._sizes[0])]
-
-    def new_layer(self):
-        self._sizes.append(0)
-        self._biases.append([])
-
-    def _materialize(self, layer: int, expr: Affine) -> int:
-        idx = self._sizes[layer]
-        self._sizes[layer] = idx + 1
-        for (sl, si), coef in expr.terms.items():
-            if coef == 0.0:
-                continue
-            if sl >= layer:
-                raise ConstructionError("expression references a non-earlier layer")
-            self._sl.append(sl)
-            self._si.append(si)
-            self._tl.append(layer)
-            self._ti.append(idx)
-            self._w.append(coef)
-        self._biases[layer - 1].append(expr.const)
-        return idx
-
-    def relu(self, expr: Affine) -> Affine:
-        """Add one rectified neuron to the current hidden layer; return its ref."""
-        if self._done:
-            raise ConstructionError("builder already finished")
-        if len(self._sizes) < 2:
-            raise ConstructionError("call new_layer() before adding neurons")
-        layer = len(self._sizes) - 1
-        idx = self._materialize(layer, expr)
-        return Affine.ref(layer, idx)
-
-    def finish(self, output_exprs) -> ReluNetwork:
-        """Append the raw-activation output layer and build the network."""
-        if self._done:
-            raise ConstructionError("builder already finished")
-        self._done = True
-        self._sizes.append(0)
-        self._biases.append([])
-        layer = len(self._sizes) - 1
-        for e in output_exprs:
-            self._materialize(layer, e)
-        n = len(self._w)
-        return ReluNetwork._from_arrays(
-            self._sizes,
-            np.fromiter(self._sl, dtype=np.int64, count=n),
-            np.fromiter(self._si, dtype=np.int64, count=n),
-            np.fromiter(self._tl, dtype=np.int64, count=n),
-            np.fromiter(self._ti, dtype=np.int64, count=n),
-            np.fromiter(self._w, dtype=np.float64, count=n),
-            [np.asarray(b, dtype=np.float64) for b in self._biases],
+    @staticmethod
+    def stack(parts) -> "AffineRows":
+        """The rows of each part in turn."""
+        offset = np.cumsum([0] + [p.n for p in parts])
+        return AffineRows(
+            np.concatenate([p.row + o for p, o in zip(parts, offset)]),
+            *(np.concatenate([getattr(p, name) for p in parts]) for name in ("sl", "si", "coef", "const")),
         )
+
+    def scale(self, s: float) -> "AffineRows":
+        return AffineRows(self.row, self.sl, self.si, self.coef * s, self.const * s)
+
+    def shift(self, c) -> "AffineRows":
+        """Add `c` to the constants: one value, or one per row."""
+        return AffineRows(self.row, self.sl, self.si, self.coef, self.const + c)
+
+    def __neg__(self) -> "AffineRows":
+        return self.scale(-1.0)
+
+    def __add__(self, other: "AffineRows") -> "AffineRows":
+        if other.n != self.n:
+            raise ConstructionError(f"cannot add {other.n} rows to {self.n}")
+        return AffineRows.from_terms(
+            *(np.concatenate((getattr(self, name), getattr(other, name))) for name in ("row", "sl", "si", "coef")),
+            self.const + other.const,
+        )
+
+    def __sub__(self, other: "AffineRows") -> "AffineRows":
+        return self + (-other)
+
+    def layer(self):
+        """These rows as one ``(blocks, bias)`` layer of :func:`network_from_blocks`."""
+        return [(self.sl, self.si, self.row, self.coef)], self.const
+
+
+def relu_layer(layers: list, pre: AffineRows) -> AffineRows:
+    """Append `pre` to `layers` as the next hidden layer; return refs to its outputs.
+
+    `layers` lists hidden layers as :func:`network_from_blocks` takes
+    them, so it must start empty: hidden layer l is ``layers[l - 1]``.
+    """
+    layers.append(pre.layer())
+    return AffineRows.refs(len(layers), pre.n)
 
 
 # -- minimum gadgets -------------------------------------------------------
 
 
-def min_pair(builder: NetworkBuilder, a: Affine, b: Affine) -> Affine:
-    """min(a, b) = b - max(0, b - a); adds one neuron to the current layer."""
-    h = builder.relu(b - a)
-    return b - h
+def min_reduce_many(layers: list, rows: AffineRows, group_sizes) -> AffineRows:
+    """Reduce each group of consecutive rows to its minimum, in lockstep.
 
-
-def max_pair(builder: NetworkBuilder, a: Affine, b: Affine) -> Affine:
-    """max(a, b) = a + max(0, b - a); adds one neuron to the current layer."""
-    h = builder.relu(b - a)
-    return a + h
-
-
-def min_reduce_many(builder: NetworkBuilder, groups) -> list:
-    """Reduce each group of affine values to its minimum, in lockstep.
-
-    All groups advance one pairwise-reduction round per hidden layer, so
-    the builder gains ceil(log2(max group size)) layers and each group of
-    g values costs g - 1 neurons.  The affine outputs of one round feed
-    the next round's rectifiers directly (no relay neurons), which is what
-    keeps the depth logarithmic.
+    Group g is the next ``group_sizes[g]`` rows.  All groups advance one
+    pairwise round per hidden layer: rows 2i and 2i + 1 of a group, a and
+    b, become ``b - relu(b - a)``, and an odd last row carries over.  So
+    `layers` gains ceil(log2(max group size)) layers and each group of
+    g rows costs g - 1 neurons.  The affine outputs of one round feed the
+    next round's rectifiers directly (no relay neurons), which is what
+    keeps the depth logarithmic.  Returns one row per group.
     """
-    groups = [list(g) for g in groups]
-    while any(len(g) > 1 for g in groups):
-        builder.new_layer()
-        for g in groups:
-            if len(g) == 1:
-                continue
-            nxt = [min_pair(builder, g[i], g[i + 1]) for i in range(0, len(g) - 1, 2)]
-            if len(g) % 2:
-                nxt.append(g[-1])
-            g[:] = nxt
-    return [g[0] for g in groups]
+    sizes = np.asarray(group_sizes, dtype=np.int64)
+    while (sizes > 1).any():
+        start = np.cumsum(sizes) - sizes
+        pairs = sizes // 2
+        group = np.repeat(np.arange(sizes.size), pairs)
+        i = np.arange(group.size) - (np.cumsum(pairs) - pairs)[group]
+        a = start[group] + 2 * i
+        b = rows.take(a + 1)
+        h = relu_layer(layers, b - rows.take(a))
+        odd = np.flatnonzero(sizes % 2)
+        last = start[odd] + sizes[odd] - 1
+        sizes = pairs + sizes % 2
+        start = np.cumsum(sizes) - sizes
+        place = np.empty(int(sizes.sum()), dtype=np.int64)
+        place[start[group] + i] = np.arange(group.size)
+        place[start[odd] + pairs[odd]] = group.size + last
+        rows = AffineRows.stack([b - h, rows]).take(place)
+    return rows
 
 
 def min2_gadget() -> ReluNetwork:
@@ -509,10 +474,9 @@ def min_n_gadget(n: int) -> ReluNetwork:
     """
     if n < 1:
         raise ValueError("minimum of zero values is undefined")
-    b = NetworkBuilder(n)
-    vals = b.input_refs()
-    out = min_reduce_many(b, [vals])[0]
-    return b.finish([out])
+    layers = []
+    out = min_reduce_many(layers, AffineRows.refs(0, n), [n])
+    return network_from_blocks(n, [*layers, out.layer()])
 
 
 # -- recurrent unfolding ---------------------------------------------------
@@ -536,7 +500,8 @@ def unfold(cell: ReluNetwork, steps: int, feedback: dict) -> ReluNetwork:
     layers (unfolded depth = steps * cell depth).  The relays require the
     fed-back values to be non-negative at intermediate steps; every state
     vector in this package (truncated table values in ]0, 2], running
-    profit sums) satisfies that.
+    profit sums) satisfies that.  Relay j carries the j-th smallest
+    fed-back output.
     The result has at most ``steps * cell.num_arcs`` arcs (exactly that
     many when every output is fed back), checked against the budget first.
     """
@@ -551,48 +516,40 @@ def unfold(cell: ReluNetwork, steps: int, feedback: dict) -> ReluNetwork:
         raise ConstructionError("feedback must map outputs to distinct inputs")
     if any(not 0 <= o < n_out for o in out_idx) or any(not 0 <= i < n_in for i in in_idx):
         raise ConstructionError("feedback index out of range")
-    fed_inputs = sorted(in_idx)
-    fed_set = set(fed_inputs)
-    ext_inputs = [i for i in range(n_in) if i not in fed_set]
+    fed = sorted(in_idx)
+    ext = sorted(set(range(n_in)) - set(fed))
 
-    b = NetworkBuilder(len(fed_inputs) + steps * len(ext_inputs))
-    refs = b.input_refs()
-    state = {inp: refs[pos] for pos, inp in enumerate(fed_inputs)}
+    # Each step's layers are the cell's, with sources remapped; arcs the
+    # cell repeats between two neurons merge here, once.
     k = cell.depth
-    layer_arcs = [cell._layer_arcs(l) for l in range(1, k + 1)]
-    biases = cell.biases_by_layer
+    rows = []
+    for l, bias in enumerate(cell.biases_by_layer, start=1):
+        into = cell._tl == l
+        rows.append(AffineRows.from_terms(cell._ti[into], cell._sl[into], cell._si[into], cell._w[into], bias))
+    relay = rows[-1].take(out_idx)
+    # Where cell input i comes from in the current step: neuron (src_layer[i], src_index[i]).
+    src_layer = np.zeros(n_in, dtype=np.int64)
+    src_index = np.zeros(n_in, dtype=np.int64)
+    src_index[fed] = np.arange(len(fed))
+    src_index[ext] = len(fed) + np.arange(len(ext))
+    relay_of = np.zeros(n_in, dtype=np.int64)
+    relay_of[in_idx] = np.arange(len(pairs))
 
+    def step_layer(r: AffineRows, t: int):
+        from_input = r.sl == 0
+        inputs = r.si[from_input]
+        sl = r.sl + t * k
+        si = r.si.copy()
+        sl[from_input] = src_layer[inputs]
+        si[from_input] = src_index[inputs]
+        return [(sl, si, r.row, r.coef)], r.const
+
+    layers = []
     for t in range(steps):
-        base = len(fed_inputs) + t * len(ext_inputs)
-        in_expr = [None] * n_in
-        for i in fed_inputs:
-            in_expr[i] = state[i]
-        for r, i in enumerate(ext_inputs):
-            in_expr[i] = refs[base + r]
-        layer_out = [in_expr]
-        final_exprs = None
-        for l in range(1, k + 1):
-            n_l = cell.layer_sizes[l]
-            acc_terms = [dict() for _ in range(n_l)]
-            acc_const = list(biases[l - 1])
-            sl, si, ti, w = layer_arcs[l - 1]
-            for a in range(sl.size):
-                src = layer_out[int(sl[a])][int(si[a])]
-                c = float(w[a])
-                d = acc_terms[int(ti[a])]
-                for r, coef in src.terms.items():
-                    d[r] = d.get(r, 0.0) + c * coef
-                acc_const[int(ti[a])] += c * src.const
-            exprs = [Affine(tm, ct) for tm, ct in zip(acc_terms, acc_const)]
-            if l < k:
-                b.new_layer()
-                layer_out.append([b.relu(e) for e in exprs])
-            else:
-                final_exprs = exprs
-        if t < steps - 1:
-            b.new_layer()
-            for o, i in pairs:
-                state[i] = b.relu(final_exprs[o])
-        else:
-            return b.finish(final_exprs)
-    raise AssertionError("unreachable")
+        if t:
+            src_layer[fed] = t * k
+            src_index[fed] = relay_of[fed]
+            src_index[ext] += len(ext)
+        layers += [step_layer(r, t) for r in rows[:-1]]
+        layers.append(step_layer(relay if t < steps - 1 else rows[-1], t))
+    return network_from_blocks(len(fed) + steps * len(ext), layers)

@@ -12,7 +12,8 @@ import pytest
 from dpnets import dp_nn, fptas_nn
 from dpnets.errors import ConstructionError
 from dpnets.knapsack_oracles import exact_profit_budget
-from dpnets.relu_core import NetworkBuilder, affine_sum, network_from_blocks
+from dpnets.relu_core import network_from_blocks
+from reference_builders import NetworkBuilder, affine_sum
 
 
 def reference_dp_net(p_star):

@@ -1,0 +1,219 @@
+"""The array-built min gadgets, co-builders and unfoldings against the
+per-neuron constructions in ``reference_builders``.
+
+Every network must equal its reference arc for arc, in order, and give
+the same JSON document, so evaluation sums every row in the same order
+and ``dpnets build`` output stays byte-identical.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+import reference_builders as ref
+from dpnets import co_builders, dp_nn
+from dpnets.instance_gen import SplitMix64
+from dpnets.relu_core import AffineRows, ReluNetwork, min2_gadget, min_n_gadget, unfold
+
+
+def assert_same(new, old):
+    assert new == old
+    assert new.to_json_dict() == old.to_json_dict()
+
+
+def as_affines(rows):
+    """The rows of an AffineRows as reference Affine expressions."""
+    out = []
+    for i in range(rows.n):
+        at = rows.row == i
+        keys = zip(rows.sl[at].tolist(), rows.si[at].tolist())
+        out.append(ref.Affine(dict(zip(keys, rows.coef[at].tolist())), rows.const[i]))
+    return out
+
+
+def assert_rows_match(rows, affines):
+    got = as_affines(rows)
+    assert len(got) == len(affines)
+    for g, a in zip(got, affines):
+        assert list(g.terms.items()) == list(a.terms.items())
+        assert g.const == a.const
+
+
+def test_affine_rows_follow_affine_term_order():
+    # Random chains of row operations give the terms, their order and their
+    # coefficients that the same chain of Affine operations gives, including
+    # sources whose coefficients cancel.
+    rng = SplitMix64(11)
+    sources = AffineRows.stack([AffineRows.refs(0, 3), AffineRows.refs(1, 2), AffineRows.constant([0.5])])
+    source_affines = as_affines(sources)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        idx = [rng.randint(0, sources.n - 1) for _ in range(n)]
+        rows = sources.take(idx)
+        affines = [source_affines[i] for i in idx]
+        for _ in range(rng.randint(1, 6)):
+            op = rng.randint(0, 3)
+            if op == 0:
+                other_idx = [rng.randint(0, sources.n - 1) for _ in range(n)]
+                rows = rows + sources.take(other_idx)
+                affines = [a + source_affines[i] for a, i in zip(affines, other_idx)]
+            elif op == 1:
+                rows = rows - rows.take(np.arange(n)[::-1])
+                affines = [a - b for a, b in zip(affines, affines[::-1])]
+            elif op == 2:
+                s = rng.randint(-4, 4) * 0.5
+                rows = rows.scale(s)
+                affines = [s * a for a in affines]
+            else:
+                c = rng.randint(-4, 4) * 0.25
+                rows = rows.shift(c)
+                affines = [a + c for a in affines]
+            assert_rows_match(rows, affines)
+
+
+def test_cancelled_source_keeps_its_place():
+    x, y = AffineRows.refs(0, 1), AffineRows.refs(1, 1)
+    rows = (x - x) + y + x
+    assert list(zip(rows.sl.tolist(), rows.coef.tolist())) == [(0, 1.0), (1, 1.0)]
+    rows = x - x
+    assert rows.coef.tolist() == [0.0]
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_min_n_gadget(n):
+    assert_same(min_n_gadget(n), ref.min_n_gadget(n))
+
+
+def test_lcs_cell():
+    for value_bound in range(1, 30):
+        assert_same(co_builders.build_lcs_cell(value_bound), ref.build_lcs_cell(value_bound))
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+def test_bellman_ford_cell(n):
+    for seed in range(5):
+        rng = SplitMix64(100 * n + seed)
+        lengths = [[0.0 if u == v else rng.randint(-6, 40) * 0.5 for v in range(n)] for u in range(n)]
+        graph = co_builders.WeightedGraph(lengths, source=seed % n)
+        assert_same(co_builders.build_bellman_ford_cell(graph), ref.build_bellman_ford_cell(graph))
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+def test_min_plus_square_cell(n):
+    assert_same(co_builders.build_min_plus_square_cell(n), ref.build_min_plus_square_cell(n))
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_tsp_network(n):
+    assert_same(co_builders.build_tsp_network(n).net, ref.build_tsp_network(n).net)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_csp_network(n):
+    for c_star in range(1, 12):
+        for source in (0, n - 1):
+            for bound in (0, 2.5, 3):
+                new = co_builders.build_csp_network(n, c_star, bound, source)
+                old = ref.build_csp_network(n, c_star, bound, source)
+                assert_same(new.net, old.net)
+                assert new == old
+
+
+# -- unfolding ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p_star", range(1, 16))
+def test_unfold_dp_cell(p_star):
+    cell = dp_nn.build_dp_cell(p_star).net
+    feedback = {o: o for o in range(p_star)}
+    for steps in (1, 2, 3, 7):
+        assert_same(unfold(cell, steps, feedback), ref.unfold(cell, steps, feedback))
+
+
+def random_cell(rng):
+    """A random layered network with skip arcs, zero weights and repeated arcs."""
+    sizes = [rng.randint(1, 4)] + [rng.randint(0, 4) for _ in range(rng.randint(0, 3))] + [rng.randint(1, 3)]
+    arcs = []
+    for tl in range(1, len(sizes)):
+        for ti in range(sizes[tl]):
+            for _ in range(rng.randint(0, 5)):
+                sl = rng.randint(0, tl - 1)
+                if sizes[sl]:
+                    arcs.append((sl, rng.randint(0, sizes[sl] - 1), tl, ti, rng.randint(-3, 3) * 0.5))
+    biases = [(l, i, rng.randint(-2, 2) * 0.25) for l in range(1, len(sizes)) for i in range(sizes[l])]
+    return ReluNetwork(sizes, arcs, biases)
+
+
+def random_feedback(rng, cell):
+    outs = [o for o in range(cell.n_outputs) if rng.randint(0, 2)]
+    ins = list(range(cell.n_inputs))
+    rng.shuffle(ins)
+    return dict(zip(outs, ins))
+
+
+def shuffled(cell, rng):
+    doc = json.loads(json.dumps(cell.to_json_dict()))
+    rng.shuffle(doc["arcs"])
+    return ReluNetwork.from_json_dict(doc)
+
+
+def test_unfold_random_cells():
+    rng = SplitMix64(61)
+    for _ in range(40):
+        cell = random_cell(rng)
+        feedback = random_feedback(rng, cell)
+        steps = rng.randint(1, 4)
+        assert_same(unfold(cell, steps, feedback), ref.unfold(cell, steps, feedback))
+        mixed = shuffled(cell, rng)
+        assert_same(unfold(mixed, steps, feedback), ref.unfold(mixed, steps, feedback))
+
+
+@pytest.mark.parametrize(
+    "cell, steps, feedback",
+    [
+        (min2_gadget(), 3, {0: 0}),
+        (min2_gadget(), 2, {0: 1}),
+        (min_n_gadget(1), 3, {0: 0}),  # depth 1: the relays are the only hidden layers
+        (min_n_gadget(3), 2, {}),  # no feedback: empty relay layers
+    ],
+)
+def test_unfold_small_cells(cell, steps, feedback):
+    assert_same(unfold(cell, steps, feedback), ref.unfold(cell, steps, feedback))
+
+
+def test_unfold_partial_feedback():
+    # two outputs, only the second fed back, into input 0
+    cell = ReluNetwork(
+        [2, 2, 2],
+        [(0, 0, 1, 0, 1.0), (0, 1, 1, 1, -0.5), (1, 1, 2, 0, 2.0), (1, 0, 2, 1, 1.0), (0, 1, 2, 1, 0.25)],
+        [(1, 1, 0.5), (2, 0, -1.0)],
+    )
+    u = unfold(cell, 3, {1: 0})
+    assert_same(u, ref.unfold(cell, 3, {1: 0}))
+    assert u.layer_sizes == (4, 2, 1, 2, 1, 2, 2)
+
+
+def test_unfold_drops_zero_and_merges_repeated_arcs():
+    # A JSON cell in shuffled arc order with an explicit zero weight, one arc
+    # repeated and one pair of arcs that cancel: the unfolding drops the zero
+    # and the cancelled pair and merges the repeat at its first place.
+    doc = {
+        "layers": [2, 2, 1],
+        "arcs": [
+            [1, 1, 2, 0, 1.0],
+            [0, 1, 1, 0, 0.0],
+            [0, 0, 1, 1, 1.0],
+            [0, 1, 1, 1, 0.5],
+            [0, 0, 1, 0, 1.0],
+            [0, 0, 1, 1, 0.5],
+            [1, 0, 2, 0, 3.0],
+            [0, 1, 1, 1, -0.5],
+        ],
+        "biases": [[1, 0, 0.25]],
+    }
+    cell = ReluNetwork.from_json_dict(doc)
+    u = unfold(cell, 2, {0: 0})
+    assert_same(u, ref.unfold(cell, 2, {0: 0}))
+    assert u.num_arcs == 2 * 4
+    assert [a[4] for a in u.arcs[:3]] == [1.0, 1.5, 1.0]

@@ -13,13 +13,13 @@ from dpnets.errors import (
 from dpnets.instance_gen import SplitMix64
 from dpnets.relu_core import (
     MAX_ARCS,
-    NetworkBuilder,
     ReluNetwork,
     min2_gadget,
     min_n_gadget,
     unfold,
 )
 from dpnets.verify import grid_values
+from reference_builders import NetworkBuilder
 
 
 def test_min2_examples():
