@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
@@ -167,6 +168,7 @@ def lcs_length(x, y) -> int:
     return f[m][n]
 
 
+@lru_cache(maxsize=8)
 def build_lcs_cell(value_bound: int) -> ReluNetwork:
     """Constant-size cell for one grid point of the subsequence table.
 
@@ -195,16 +197,21 @@ def build_lcs_cell(value_bound: int) -> ReluNetwork:
 
 
 def run_lcs(pair: IntSequencePair) -> int:
-    """Grid application of the cell over i in [m], j in [n]; boundary rows 0."""
-    cell = build_lcs_cell(max(pair.m, pair.n))
-    f = np.zeros((pair.m + 1, pair.n + 1))
-    for i in range(1, pair.m + 1):
-        for j in range(1, pair.n + 1):
-            out = cell.evaluate(
-                [f[i - 1, j - 1], f[i - 1, j], f[i, j - 1], float(pair.x[i - 1]), float(pair.y[j - 1])]
-            )
-            f[i, j] = out[0]
-    return int(round(f[pair.m, pair.n]))
+    """Grid application of the cell over i in [m], j in [n]; boundary rows 0.
+
+    The points of one anti-diagonal i + j = d read only earlier
+    diagonals, so each diagonal is one batched evaluation.
+    """
+    m, n = pair.m, pair.n
+    cell = build_lcs_cell(max(m, n))
+    x, y = np.array(pair.x, dtype=np.float64), np.array(pair.y, dtype=np.float64)
+    f = np.zeros((m + 1, n + 1))
+    for d in range(2, m + n + 1):
+        i = np.arange(max(1, d - n), min(m, d - 1) + 1)
+        j = d - i
+        inputs = np.column_stack((f[i - 1, j - 1], f[i - 1, j], f[i, j - 1], x[i - 1], y[j - 1]))
+        f[i, j] = cell.evaluate_batch(inputs)[:, 0]
+    return int(round(f[m, n]))
 
 
 # -- single-source shortest paths (Bellman-Ford) ------------------------------

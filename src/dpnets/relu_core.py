@@ -16,9 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
 from .errors import ConstructionError, NumericOverflowError, ShapeMismatchError, SizeGuardError
 
@@ -63,10 +65,17 @@ class NetworkStats:
 class ReluNetwork:
     """Immutable sparse-arc representation of a layered ReLU network.
 
-    Arcs are stored as an explicit list (constructions here are sparse
-    relative to dense layers); the evaluator compiles one CSR matrix per
-    layer over the concatenated outputs of all earlier layers.  All
-    arithmetic is IEEE double precision.  The hard-coded constructions
+    Arcs are stored as flat arrays (constructions here are sparse
+    relative to dense layers).  On first use the evaluator compiles each
+    layer's arcs into a ``scipy.sparse`` CSR matrix over the concatenated
+    outputs of all earlier layers and keeps only its raw arrays.  Every
+    evaluation then runs one loop over the layers, calling scipy's
+    compiled CSR kernels (the private
+    ``scipy.sparse._sparsetools.csr_matvec``, and ``csr_matvecs`` for
+    :meth:`evaluate_batch`) straight into one output buffer per call.
+    No buffer is kept between calls, so one network can be evaluated
+    from several threads at once.  All arithmetic is IEEE double
+    precision.  The hard-coded constructions
     in this package only ever combine small integers, halves and
     input-derived values, so their evaluation is exact whenever every
     intermediate integer-valued pre-activation stays below 2**53; the
@@ -207,53 +216,77 @@ class ReluNetwork:
     # -- evaluation --------------------------------------------------------
 
     @cached_property
-    def _offsets(self):
-        return np.concatenate(([0], np.cumsum(self.layer_sizes)))
+    def _bounds(self):
+        """Where each layer starts in the concatenated outputs, then the total."""
+        return tuple(accumulate(self.layer_sizes, initial=0))
 
     @cached_property
     def _compiled(self):
-        """Per-layer CSR matrix over the concatenated outputs of layers < l."""
-        off = self._offsets
-        cols_global = off[self._sl] + self._si
+        """Per layer l, ``(n_row, n_col, indptr, indices, data)``: the arrays of
+        its CSR matrix over the concatenated outputs of layers < l."""
+        off = self._bounds
+        cols_global = np.asarray(off)[self._sl] + self._si
         compiled = []
         for l in range(1, len(self.layer_sizes)):
             mask = self._tl == l
             mat = sparse.csr_matrix(
                 (self._w[mask], (self._ti[mask], cols_global[mask])),
-                shape=(self.layer_sizes[l], int(off[l])),
+                shape=(self.layer_sizes[l], off[l]),
             )
-            compiled.append(mat)
+            compiled.append((*mat.shape, mat.indptr, mat.indices, mat.data))
         return compiled
 
     def _forward(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.layer_sizes[0],):
-            raise ShapeMismatchError(
-                f"expected input of length {self.layer_sizes[0]}, got shape {x.shape}"
-            )
-        off = self._offsets
-        outs = np.empty(int(off[-1]))
-        outs[: self.layer_sizes[0]] = x
+        """Every neuron's output, inputs first: a vector for one input, a
+        (neurons, B) array for the B rows of a 2-D `x`.
+
+        Each layer is ``W @ outs + bias`` summed in scipy's order (from zero,
+        then the arcs in column order, then the bias), checked for
+        non-finite values before the rectifier can hide a -inf.
+        """
+        off = self._bounds
+        batch = x.ndim == 2
+        outs = np.zeros((off[-1], x.shape[0]) if batch else off[-1])
+        outs[: off[1]] = x.T
         k = self.depth
-        for l, mat in enumerate(self._compiled, start=1):
-            a = mat.dot(outs[: int(off[l])]) + self._bias_arrays[l - 1]
-            if not np.all(np.isfinite(a)):
+        for l, (n_row, n_col, indptr, indices, data) in enumerate(self._compiled, start=1):
+            a = outs[off[l] : off[l + 1]]
+            bias = self._bias_arrays[l - 1]
+            if batch:
+                csr_matvecs(n_row, n_col, x.shape[0], indptr, indices, data, outs, a)
+                bias = bias[:, None]
+            else:
+                csr_matvec(n_row, n_col, indptr, indices, data, outs, a)
+            a += bias
+            if not np.isfinite(a).all():
                 raise NumericOverflowError(f"non-finite activation in layer {l}")
             if l < k:
                 np.maximum(a, 0.0, out=a)
-            outs[int(off[l]) : int(off[l + 1])] = a
         return outs
+
+    def _input(self, x, ndim: int):
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != ndim or x.shape[-1] != self.n_inputs:
+            want = f"input of length {self.n_inputs}" if ndim == 1 else f"inputs of shape (B, {self.n_inputs})"
+            raise ShapeMismatchError(f"expected {want}, got shape {x.shape}")
+        return x
 
     def evaluate(self, x) -> np.ndarray:
         """Run the network on `x` and return the raw output activations."""
-        outs = self._forward(x)
-        return outs[int(self._offsets[-2]) :].copy()
+        return self._forward(self._input(x, 1))[self._bounds[-2] :].copy()
+
+    def evaluate_batch(self, xs) -> np.ndarray:
+        """Run the network on each row of `xs` (shape (B, n_inputs)); return (B, n_outputs).
+
+        Row i equals ``evaluate(xs[i])`` bit for bit.
+        """
+        return self._forward(self._input(xs, 2))[self._bounds[-2] :].T.copy()
 
     def evaluate_layers(self, x):
         """Like :meth:`evaluate` but return every layer's outputs (inputs first)."""
-        outs = self._forward(x)
-        off = self._offsets
-        return [outs[int(off[l]) : int(off[l + 1])].copy() for l in range(len(self.layer_sizes))]
+        outs = self._forward(self._input(x, 1))
+        off = self._bounds
+        return [outs[off[l] : off[l + 1]].copy() for l in range(len(self.layer_sizes))]
 
     # -- serialization -----------------------------------------------------
 

@@ -5,6 +5,10 @@ every network one neuron at a time, as the package once did.  The
 min-gadget, co-builder and unfolding constructions below build the same
 networks as ``relu_core`` and ``co_builders`` do from arrays, and the
 tests require the two to agree arc for arc, in order.
+
+``reference_compiled`` and ``reference_forward`` are the evaluator as it
+was before it ran raw CSR arrays: one ``scipy.sparse.csr_matrix`` per
+layer, built from COO, and ``mat.dot(v) + bias`` layer by layer.
 """
 
 from __future__ import annotations
@@ -12,9 +16,10 @@ from __future__ import annotations
 from itertools import combinations
 
 import numpy as np
+from scipy import sparse
 
 from dpnets.co_builders import CspNetwork, TspNetwork, WeightedGraph
-from dpnets.errors import ConstructionError, SizeGuardError
+from dpnets.errors import ConstructionError, NumericOverflowError, ShapeMismatchError, SizeGuardError
 from dpnets.relu_core import ReluNetwork, check_arc_budget
 
 
@@ -419,3 +424,47 @@ def unfold(cell: ReluNetwork, steps: int, feedback: dict) -> ReluNetwork:
         else:
             return b.finish(final_exprs)
     raise AssertionError("unreachable")
+
+
+# -- evaluation through scipy.sparse -----------------------------------------
+
+
+def reference_offsets(net: ReluNetwork):
+    return np.concatenate(([0], np.cumsum(net.layer_sizes)))
+
+
+def reference_compiled(net: ReluNetwork):
+    """Per-layer CSR matrix over the concatenated outputs of layers < l."""
+    off = reference_offsets(net)
+    cols_global = off[net._sl] + net._si
+    compiled = []
+    for l in range(1, len(net.layer_sizes)):
+        mask = net._tl == l
+        mat = sparse.csr_matrix(
+            (net._w[mask], (net._ti[mask], cols_global[mask])),
+            shape=(net.layer_sizes[l], int(off[l])),
+        )
+        compiled.append(mat)
+    return compiled
+
+
+def reference_forward(net: ReluNetwork, x, compiled=None):
+    """Every neuron's output, inputs first; pass `compiled` to reuse one compile."""
+    compiled = reference_compiled(net) if compiled is None else compiled
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (net.layer_sizes[0],):
+        raise ShapeMismatchError(
+            f"expected input of length {net.layer_sizes[0]}, got shape {x.shape}"
+        )
+    off = reference_offsets(net)
+    outs = np.empty(int(off[-1]))
+    outs[: net.layer_sizes[0]] = x
+    k = net.depth
+    for l, mat in enumerate(compiled, start=1):
+        a = mat.dot(outs[: int(off[l])]) + net.biases_by_layer[l - 1]
+        if not np.all(np.isfinite(a)):
+            raise NumericOverflowError(f"non-finite activation in layer {l}")
+        if l < k:
+            np.maximum(a, 0.0, out=a)
+        outs[int(off[l]) : int(off[l + 1])] = a
+    return outs
