@@ -333,10 +333,3 @@ def width_quality_curve(inst: KnapsackInstance, resolutions) -> list:
         points.append(TradeoffPoint(P, width, sol.value, int(opt), sol.value / opt))
     return points
 
-
-def tradeoff_csv(points) -> str:
-    """Plot-ready CSV for a width-versus-quality sweep."""
-    lines = ["P,width,p_nn,p_opt,ratio"]
-    for pt in points:
-        lines.append(f"{pt.resolution},{pt.width},{pt.p_nn!r},{pt.p_opt},{pt.ratio!r}")
-    return "\n".join(lines) + "\n"

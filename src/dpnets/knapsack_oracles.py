@@ -10,7 +10,6 @@ it is used to check.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,16 +107,6 @@ def _largest_feasible_row(values: np.ndarray) -> int:
     return int(ok[-1]) + 1 if ok.size else 0
 
 
-def _csv_of(values: np.ndarray) -> str:
-    """Rows = profit index p, columns = item count i."""
-    buf = io.StringIO()
-    n_cols = values.shape[1]
-    buf.write("p," + ",".join(f"i{i}" for i in range(n_cols)) + "\n")
-    for p in range(1, values.shape[0]):
-        buf.write(str(p) + "," + ",".join(repr(float(v)) for v in values[p]) + "\n")
-    return buf.getvalue()
-
-
 @dataclass(frozen=True)
 class DpTable:
     """Truncated table f(p, i) for p in [p_star], i in 0..n.
@@ -136,9 +125,6 @@ class DpTable:
     @property
     def n_items(self) -> int:
         return self.values.shape[1] - 1
-
-    def to_csv(self) -> str:
-        return _csv_of(self.values)
 
 
 @dataclass(frozen=True)
@@ -166,15 +152,9 @@ class FptasTable:
         """P times the rounding granularity after i items (an integer)."""
         return max(self.resolution, self.p_star_sums[i])
 
-    def granularity(self, i: int) -> float:
-        return self.scaled_granularity(i) / self.resolution
-
     def best_row(self) -> int:
         """Largest p with g(p, n) <= 1 + CAPACITY_TOL, or 0 if none qualifies."""
         return _largest_feasible_row(self.values)
-
-    def to_csv(self) -> str:
-        return _csv_of(self.values)
 
 
 # -- exact dynamic program ---------------------------------------------------

@@ -90,27 +90,34 @@ class ReluNetwork:
         layer_sizes:
             Neuron counts n_0..n_k per layer, k >= 1.
         arcs:
-            Iterable of ``(src_layer, src_index, dst_layer, dst_index,
-            weight)`` tuples.  Source layer must be strictly smaller
+            Sequence of ``(src_layer, src_index, dst_layer, dst_index,
+            weight)`` rows.  Source layer must be strictly smaller
             than the destination layer.
         biases:
-            Iterable of ``(layer, index, bias)``; neurons not listed
-            get bias 0.  Input neurons carry no bias.
+            Sequence of ``(layer, index, bias)`` rows; neurons not listed
+            get bias 0, and none may be listed twice.  Input neurons
+            carry no bias.
+
+        Anything else (a string, a row of another length, a negative or
+        fractional size or index) raises :class:`ConstructionError`.
         """
-        arcs = list(arcs)
-        n = len(arcs)
-        sl = np.fromiter((a[0] for a in arcs), dtype=np.int64, count=n)
-        si = np.fromiter((a[1] for a in arcs), dtype=np.int64, count=n)
-        tl = np.fromiter((a[2] for a in arcs), dtype=np.int64, count=n)
-        ti = np.fromiter((a[3] for a in arcs), dtype=np.int64, count=n)
-        w = np.fromiter((a[4] for a in arcs), dtype=np.float64, count=n)
-        sizes = tuple(int(s) for s in layer_sizes)
-        bias_arrays = [np.zeros(sz) for sz in sizes[1:]]
-        for layer, idx, b in biases:
-            if not 1 <= layer < len(sizes) or not 0 <= idx < sizes[layer]:
-                raise ConstructionError(f"bias for nonexistent neuron ({layer}, {idx})")
-            bias_arrays[layer - 1][idx] = b
-        self._init_from_arrays(sizes, sl, si, tl, ti, w, bias_arrays)
+        sizes = tuple(_whole(_numbers(layer_sizes, (), "layer sizes must be a list of numbers")).tolist())
+        arcs = _numbers(arcs, (5,), "each arc must be 5 numbers").T
+        sl, si, tl, ti = _whole(arcs[:4])
+        biases = _numbers(biases, (3,), "each bias must be 3 numbers").T
+        layer, idx = _whole(biases[:2])
+        sz = np.asarray(sizes, dtype=np.int64)
+        real = (layer >= 1) & (layer < sz.size)
+        real[real] = idx[real] < sz[layer[real]]
+        if not real.all():
+            raise ConstructionError(f"bias for nonexistent neuron ({layer[~real][0]}, {idx[~real][0]})")
+        start = np.cumsum(sz[1:]) - sz[1:]  # where each non-input layer starts in one bias vector
+        flat = start[layer - 1] + idx
+        if np.unique(flat).size < flat.size:
+            raise ConstructionError("a neuron's bias is listed twice")
+        bias = np.zeros(sz[1:].sum())
+        bias[flat] = biases[2]
+        self._init_from_arrays(sizes, sl, si, tl, ti, np.ascontiguousarray(arcs[4]), np.split(bias, start[1:]))
 
     @classmethod
     def _from_arrays(cls, layer_sizes, sl, si, tl, ti, w, bias_arrays):
@@ -296,20 +303,36 @@ class ReluNetwork:
         Zero biases are omitted; round-tripping is bit-exact for every
         weight representable in double precision.
         """
-        arcs = [
-            [int(a), int(b), int(c), int(d), float(e)]
-            for a, b, c, d, e in zip(self._sl, self._si, self._tl, self._ti, self._w)
-        ]
         biases = []
         for l, arr in enumerate(self._bias_arrays, start=1):
-            for i in np.flatnonzero(arr != 0.0):
-                biases.append([l, int(i), float(arr[i])])
-        return {"layers": list(self.layer_sizes), "arcs": arcs, "biases": biases}
+            idx = np.flatnonzero(arr)
+            biases += ([l, i, b] for i, b in zip(idx.tolist(), arr[idx].tolist()))
+        return {"layers": list(self.layer_sizes), "arcs": list(map(list, self.arcs)), "biases": biases}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ReluNetwork":
-        return cls(doc["layers"], [tuple(a) for a in doc["arcs"]],
-                   [tuple(b) for b in doc.get("biases", [])])
+        """The network of a :meth:`to_json_dict` document; a malformed one raises ConstructionError."""
+        return cls(doc["layers"], doc["arcs"], doc.get("biases", ()))
+
+
+def _numbers(values, row_shape: tuple, message: str) -> np.ndarray:
+    """`values` as a float array of rows shaped `row_shape`, else ConstructionError(message)."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged rows
+        raise ConstructionError(message) from None
+    if arr.shape == (0,):
+        arr = arr.reshape(0, *row_shape)
+    if arr.ndim != 1 + len(row_shape) or arr.shape[1:] != row_shape or arr.dtype.kind not in "iuf":
+        raise ConstructionError(message)
+    return arr.astype(np.float64, copy=False)
+
+
+def _whole(values: np.ndarray) -> np.ndarray:
+    """Float sizes or indices as int64; negatives, fractions and values past 2**53 are refused."""
+    if not ((np.floor(values) == values) & (values >= 0) & (values <= 2**53)).all():
+        raise ConstructionError("layer sizes and indices must be whole numbers")
+    return values.astype(np.int64, order="C")
 
 
 def network_from_blocks(n_inputs: int, layers) -> ReluNetwork:

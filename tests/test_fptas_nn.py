@@ -13,7 +13,6 @@ from dpnets.fptas_nn import (
     run_fptas,
     solve_approx,
     solve_with_resolution,
-    tradeoff_csv,
     width_quality_curve,
 )
 from dpnets.instance_gen import SplitMix64
@@ -167,15 +166,6 @@ def test_width_quality_curve():
         assert pt.ratio >= 1 - n * n / pt.resolution - 1e-12
         assert 0.0 <= pt.ratio <= 1.0 + 1e-12
     assert points[-1].ratio == 1.0
-
-
-def test_tradeoff_csv_columns():
-    inst = capped_instance(131, 30, 10)
-    text = tradeoff_csv(width_quality_curve(inst, [3, 9]))
-    lines = text.strip().split("\n")
-    assert lines[0] == "P,width,p_nn,p_opt,ratio"
-    assert len(lines) == 3
-    assert all(len(line.split(",")) == 5 for line in lines[1:])
 
 
 def test_overflow_guard_fires_before_evaluation():

@@ -203,11 +203,3 @@ def test_backtrack_random_feasible():
             sol = backtrack(table, inst, target)
             assert sum(inst.profits[i] for i in sol.items) >= target
             assert sum(inst.sizes[i] for i in sol.items) <= table.values[target, -1] + inst.n * 1e-9
-
-
-def test_table_csv_shape():
-    inst = KnapsackInstance((2, 1), (0.5, 0.25))
-    text = dp_table(inst, 3).to_csv()
-    lines = text.strip().split("\n")
-    assert lines[0] == "p,i0,i1,i2"
-    assert len(lines) == 4
