@@ -10,6 +10,7 @@ in :mod:`dpnets.instance_gen`; identical seeds give identical reports
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -19,7 +20,6 @@ from fractions import Fraction
 from . import co_builders, dp_nn, fptas_nn, instance_gen, verify
 from .errors import NetworkError
 from .knapsack_oracles import KnapsackInstance, brute_force
-from .relu_core import ReluNetwork
 
 __all__ = ["entry_point", "main"]
 
@@ -44,14 +44,15 @@ def _digest(doc: dict) -> str:
 
 
 def _emit(report: dict, out: str | None):
-    text = json.dumps(report, indent=2)
-    print(text)
+    """Print the report as indented JSON, and write it to ``out`` as well when given."""
+    text = json.dumps(report, indent=2) + "\n"
+    _write_text(text, None)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        _write_text(text, out)
 
 
 def _write_text(text: str, out: str | None):
+    """Write ``text`` to the file ``out``, or to stdout when there is none."""
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -73,7 +74,7 @@ def cmd_solve_exact(args) -> int:
         "command": "solve-exact",
         "instance_digest": _digest(inst.to_json_dict()),
         "p_star": p_star,
-        "network": _stats_dict(cell.net),
+        "network": dataclasses.asdict(cell.net.stats()),
         "value": int(sol.value),
         "items": list(sol.items),
         "total_size": sol.total_size,
@@ -131,11 +132,6 @@ def cmd_solve_fptas(args) -> int:
 # -- build ----------------------------------------------------------------------
 
 
-def _stats_dict(net: ReluNetwork) -> dict:
-    s = net.stats()
-    return {"depth": s.depth, "width": s.width, "size": s.size, "num_arcs": s.num_arcs}
-
-
 def cmd_build(args) -> int:
     kind = args.kind
     if kind == "dp":
@@ -162,9 +158,7 @@ def cmd_build(args) -> int:
     s = net.stats()
     print(f"depth={s.depth} width={s.width} size={s.size}")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(net.to_json_dict(), fh)
-            fh.write("\n")
+        _write_text(json.dumps(net.to_json_dict()) + "\n", args.out)
     return 0
 
 
@@ -194,12 +188,7 @@ def cmd_gen(args) -> int:
             _require(args.m, "--m"), _require(args.n, "--n"), args.alphabet, args.seed
         )
         doc = pair.to_json_dict()
-    text = json.dumps(doc)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write_text(json.dumps(doc) + "\n", args.out)
     return 0
 
 

@@ -29,6 +29,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .errors import SizeGuardError
+from .knapsack_oracles import integer_value, json_fields, json_list, number_value
 from .relu_core import AffineRows, ReluNetwork, min_reduce_many, network_from_blocks, relu_layer
 
 __all__ = [
@@ -85,6 +86,7 @@ class WeightedGraph:
                 raise ValueError("resources must be finite and non-negative")
             res.setflags(write=False)
             object.__setattr__(self, "resources", res)
+        object.__setattr__(self, "source", integer_value(self.source, "source"))
         if not 0 <= self.source < lengths.shape[0]:
             raise ValueError("source out of range")
 
@@ -100,7 +102,20 @@ class WeightedGraph:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "WeightedGraph":
-        return cls(doc["lengths"], doc.get("resources"), doc.get("source", 0))
+        (lengths,) = json_fields(doc, "graph", "lengths")
+        resources = doc.get("resources")
+        graph = cls(_number_matrix(lengths, "length"),
+                    None if resources is None else _number_matrix(resources, "resource"),
+                    doc.get("source", 0))
+        if "n" in doc and integer_value(doc["n"], "n") != graph.n:
+            raise ValueError(f"the graph document's n = {doc['n']} does not match its {graph.n} rows")
+        return graph
+
+
+def _number_matrix(rows, what: str) -> list:
+    """A JSON matrix as lists of floats; ValueError on any entry that is not a number."""
+    return [[number_value(v, what) for v in json_list(row, f"a {what} row")]
+            for row in json_list(rows, f"the {what} matrix")]
 
 
 @dataclass(frozen=True)
@@ -111,8 +126,9 @@ class IntSequencePair:
     y: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _int_sequence(self.x, "x"))
-        object.__setattr__(self, "y", _int_sequence(self.y, "y"))
+        for name in ("x", "y"):
+            entries = tuple(integer_value(v, f"{name} entry") for v in getattr(self, name))
+            object.__setattr__(self, name, entries)
         if not self.x or not self.y:
             raise ValueError("sequences must be non-empty")
 
@@ -129,21 +145,8 @@ class IntSequencePair:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "IntSequencePair":
-        return cls(tuple(doc["x"]), tuple(doc["y"]))
-
-
-def _int_sequence(xs, name):
-    out = []
-    for v in xs:
-        if isinstance(v, bool):
-            raise ValueError(f"{name} entries must be integers")
-        if isinstance(v, (int, np.integer)):
-            out.append(int(v))
-        elif isinstance(v, float) and v.is_integer():
-            out.append(int(v))
-        else:
-            raise ValueError(f"{name} entry {v!r} is not integral")
-    return tuple(out)
+        x, y = json_fields(doc, "sequence pair", "x", "y")
+        return cls(tuple(json_list(x, "x")), tuple(json_list(y, "y")))
 
 
 def big_value(matrix) -> float:

@@ -52,29 +52,41 @@ class DpCell:
     3. Minimum helpers relu(f_in(p) - s_in - sum_k selector(p, k))  (p_star).
     4. Outputs f_out(p) = f_in(p) - helper(p)  (p_star).
 
-    A neuron's arcs follow the order of its terms above.  The accessor
-    methods map (p, k) coordinates to indices inside the corresponding
-    hidden layer so tests can probe activations directly.
+    A neuron's arcs follow the order of its terms above.
+    :meth:`check_layers` checks every hidden layer of one step.
     """
 
     net: ReluNetwork
     p_star: int
 
-    def idx_gate_plus(self, k: int) -> int:
-        """Layer-1 neuron max(0, 2*(p_in - k))."""
-        return k - 1
+    def check_layers(self, layers) -> dict:
+        """One boolean array per invariant of a step, an entry per checked coordinate.
 
-    def idx_gate_minus(self, k: int) -> int:
-        """Layer-1 neuron max(0, 2*(k - p_in))."""
-        return self.p_star + k - 1
+        ``layers`` is one ``evaluate_layers`` result.  Invariants, in layer
+        order: "gates", the pair gate+(k) + gate-(k) is 0 exactly at
+        k = p_in and >= 2 elsewhere; "selection", selector (p, k) carries
+        f_in(p - k) at k = p_in and 0 elsewhere; "min_helper" and
+        "minimum", row p's helper and output against the recursion
+        min(f_in(p), f_in(p - p_in) + s_in), where f_in(q <= 0) = 0.
+        """
+        P = self.p_star
+        x, gates, selectors, helpers, out = layers
+        f_in, p_in, s_in = x[:P], int(x[P]), x[P + 1]
+        sel_p, sel_k = _selector_pairs(P)
+        shifted = np.concatenate([np.zeros(min(p_in, P)), f_in])[:P]  # f_in(p - p_in)
+        pair = gates[:P] + gates[P:]
+        return {
+            "gates": np.where(np.arange(1, P + 1) == p_in, pair == 0.0, pair >= 2.0),
+            "selection": selectors == np.where(sel_k == p_in, shifted[sel_p - 1], 0.0),
+            "min_helper": helpers == np.maximum(0.0, f_in - (shifted + s_in)),
+            "minimum": out == np.minimum(f_in, shifted + s_in),
+        }
 
-    def idx_selector(self, p: int, k: int) -> int:
-        """Layer-2 neuron carrying f_in(p - k) when k == p_in (k in [p-1])."""
-        return (p - 1) * (p - 2) // 2 + (k - 1)
 
-    def idx_min_helper(self, p: int) -> int:
-        """Layer-3 neuron max(0, f_in(p) - s_in - selected)."""
-        return p - 1
+def _selector_pairs(p_star: int):
+    """(p, k) of the selectors, 1-based and row-major in p: the pairs k < p."""
+    sel_p, sel_k = np.tril_indices(p_star, -1)
+    return sel_p + 1, sel_k + 1
 
 
 @lru_cache(maxsize=8)
@@ -93,9 +105,7 @@ def build_dp_cell(p_star: int) -> DpCell:
     check_arc_budget(num_arcs, f"the exact cell for p_star = {p_star}")
     rows = np.arange(p_star)  # row p is index p - 1
     p_in, s_in = p_star, p_star + 1
-    sel_p, sel_k = np.tril_indices(p_star, -1)
-    sel_p += 1
-    sel_k += 1
+    sel_p, sel_k = _selector_pairs(p_star)
     sel = np.arange(sel_p.size)
     # One (blocks, bias) entry per layer of the DpCell layout.
     layers = [

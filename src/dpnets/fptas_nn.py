@@ -94,7 +94,8 @@ class FptasCell:
        total_out = total_in + p_in  (P + 1).
 
     A neuron's arcs follow the order of its terms above; zero
-    coefficients (gate_old at k = 1) have no arc.
+    coefficients (gate_old at k = 1) have no arc.  :meth:`check_layers`
+    checks every hidden layer of one step.
 
     ``max_profit_with_item`` bounds sum(profits) + max(profit) for exact
     evaluation; :func:`run_fptas` refuses instances beyond it.
@@ -104,43 +105,56 @@ class FptasCell:
     resolution: int  # P
     max_profit_with_item: int
 
-    def _start_upper(self, p: int) -> int:
-        return (p - 1) * self.resolution - (p - 1) * (p - 2) // 2
+    def check_layers(self, layers) -> dict:
+        """One boolean array per invariant of a step, an entry per checked coordinate.
 
-    def _start_lower(self, p: int) -> int:
-        return p * (p - 1) // 2
-
-    @property
-    def _triangle(self) -> int:
-        return self.resolution * (self.resolution + 1) // 2
-
-    def idx_skip_gate_plus(self, p: int, k: int) -> int:
-        return self._start_upper(p) + (k - p)
-
-    def idx_skip_gate_minus(self, p: int, k: int) -> int:
-        return self._triangle + self._start_upper(p) + (k - p)
-
-    def idx_take_gate_plus(self, p: int, k: int) -> int:
-        return 2 * self._triangle + self._start_lower(p) + (k - 1)
-
-    def idx_take_gate_minus(self, p: int, k: int) -> int:
-        return 3 * self._triangle + self._start_lower(p) + (k - 1)
-
-    def selected_values(self, layers, p: int):
-        """(h1, h2) for row p from recorded activations: the values the two
-        branches of the minimum see (2 / 0 when nothing is selected)."""
+        ``layers`` is one ``evaluate_layers`` result.  Invariants, in layer
+        order: "granularity", the two scaled granularities; "skip_gates"
+        and "take_gates", each pair is 0 exactly at its side's re-indexed
+        row p1 or p2 (:func:`coarse_index`, :func:`coarse_index_with_item`)
+        and >= 2 elsewhere; "take_row_bound", p2 <= p; "selected", h1(p)
+        then h2(p) against g_in(p1) (2 when p1 > P) and g_in(p2) (0 when
+        p2 <= 0); "minimum", g_out(p) = min(h1, s_in + h2); and
+        "profit_total".  Layer 4 has no check of its own: the output
+        minimum reads it.
+        """
         P = self.resolution
-        l3 = layers[3]
-        u = self._start_upper(p)
-        h1 = 2.0 - float(np.sum(l3[u : u + (P - p + 1)]))
-        lo = self._triangle + self._start_lower(p)
-        h2 = float(np.sum(l3[lo : lo + p]))
-        return h1, h2
+        x, grains, gates, keeps, _, out = layers
+        g_in, total_in, p_in, s_in = x[:P], int(x[P]), int(x[P + 1]), x[P + 2]
+        up_p, up_k, lo_p, lo_k = _row_pairs(P)
+        T = up_p.size
+        rows = np.arange(1, P + 1)
+        d_old, d_new = max(P, total_in), max(P, total_in + p_in)
+        p1 = coarse_index(rows, d_old, d_new)
+        p2 = coarse_index_with_item(rows, p_in, P, d_old, d_new)
+        skip = gates[:T] + gates[T : 2 * T]
+        take = gates[2 * T : 3 * T] + gates[3 * T :]
+        # In a correct cell at most one keep per row is nonzero: the row sums are exact.
+        h1 = 2.0 - np.bincount(up_p - 1, keeps[:T], P)
+        h2 = np.bincount(lo_p - 1, keeps[T:], P)
+        g = np.concatenate([[0.0], g_in, [2.0]])  # g(p) for p = 0..P + 1
+        return {
+            "granularity": grains == np.maximum(0, [total_in - P, total_in + p_in - P]),
+            "skip_gates": np.where(up_k == p1[up_p - 1], skip == 0.0, skip >= 2.0),
+            "take_gates": np.where(lo_k == p2[lo_p - 1], take == 0.0, take >= 2.0),
+            "take_row_bound": p2 <= rows,
+            "selected": np.concatenate([h1 == g[np.clip(p1, 0, P + 1)], h2 == g[np.clip(p2, 0, P + 1)]]),
+            "minimum": out[:P] == np.minimum(h1, s_in + h2),
+            "profit_total": out[P:] == total_in + p_in,
+        }
 
     def granularities(self, layers):
         """(d_old, d_new) implied by the recorded layer-1 activations."""
         P = self.resolution
         return (layers[1][0] + P) / P, (layers[1][1] + P) / P
+
+
+def _row_pairs(resolution: int):
+    """(p, k) of the upper pairs p <= k, then of the lower pairs k <= p,
+    1-based and row-major in p."""
+    up_p, up_k = np.triu_indices(resolution)
+    lo_p, lo_k = np.tril_indices(resolution)
+    return up_p + 1, up_k + 1, lo_p + 1, lo_k + 1
 
 
 @lru_cache(maxsize=4)
@@ -159,10 +173,7 @@ def build_fptas_cell(resolution: int) -> FptasCell:
     total_in, p_in, s_in = P, P + 1, P + 2  # g_in(p) is input p - 1
     gate_old, gate_new = 0, 1
     rows = np.arange(P)
-    up_p, up_k = np.triu_indices(P)
-    lo_p, lo_k = np.tril_indices(P)
-    for a in (up_p, up_k, lo_p, lo_k):
-        a += 1
+    up_p, up_k, lo_p, lo_k = _row_pairs(P)
     T = up_p.size
     pair = np.arange(T)
     skip_plus, skip_minus, take_plus, take_minus = (pair + j * T for j in range(4))

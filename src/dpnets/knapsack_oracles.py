@@ -31,6 +31,10 @@ __all__ = [
     "dp_table",
     "exact_profit_budget",
     "fptas_reference",
+    "integer_value",
+    "json_fields",
+    "json_list",
+    "number_value",
     "optimum_value",
     "subset_profiles",
 ]
@@ -45,29 +49,62 @@ CAPACITY_TOL = 1e-9
 _MAX_PROFIT = 2**51
 
 
+def json_fields(doc, kind: str, *keys) -> list:
+    """``doc[key]`` for each key; ValueError unless ``doc`` is an object holding them all."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a {kind} document must be a JSON object")
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise ValueError(f"the {kind} document lacks {', '.join(map(repr, missing))}")
+    return [doc[key] for key in keys]
+
+
+def json_list(v, what: str) -> list:
+    """``v`` if it is a list; ValueError otherwise."""
+    if not isinstance(v, (list, tuple)):
+        raise ValueError(f"{what} must be a list, not {v!r}")
+    return v
+
+
+def number_value(v, what: str) -> float:
+    """``v`` as a float; ValueError for bools, strings and anything else not a number."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{what} {v!r} is not a number")
+    return float(v)
+
+
+def integer_value(v, what: str) -> int:
+    """``v`` as an int, integral floats included; ValueError for anything else."""
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ValueError(f"{what} {v!r} is not integral")
+    return int(v)
+
+
 @dataclass(frozen=True)
 class KnapsackInstance:
-    """n items with integer profits >= 1 and sizes in ]0, 1]; capacity is 1."""
+    """n items with integer profits >= 1 and sizes in ]0, 1]; capacity is 1.
+
+    Integral float profits are taken as integers; bools, strings and
+    fractional profits are refused with ValueError."""
 
     profits: tuple
     sizes: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "profits", tuple(self.profits))
-        object.__setattr__(self, "sizes", tuple(float(s) for s in self.sizes))
+        object.__setattr__(self, "profits", tuple(integer_value(p, "profit") for p in self.profits))
+        object.__setattr__(self, "sizes", tuple(number_value(s, "size") for s in self.sizes))
         if len(self.profits) != len(self.sizes):
             raise ValueError("profits and sizes must have equal length")
         if len(self.profits) < 1:
             raise ValueError("an instance needs at least one item")
         for p in self.profits:
-            if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
-                raise ValueError(f"profit {p!r} is not an integer")
             if not 1 <= p < _MAX_PROFIT:
                 raise ValueError(f"profit {p} out of range [1, 2**51)")
         for s in self.sizes:
             if not (0.0 < s <= 1.0):
                 raise ValueError(f"size {s} outside ]0, 1]")
-        object.__setattr__(self, "profits", tuple(int(p) for p in self.profits))
 
     @property
     def n(self) -> int:
@@ -82,14 +119,8 @@ class KnapsackInstance:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "KnapsackInstance":
-        profits = []
-        for p in doc["profits"]:
-            if isinstance(p, float):
-                if not p.is_integer():
-                    raise ValueError(f"profit {p} is not integral")
-                p = int(p)
-            profits.append(p)
-        return cls(tuple(profits), tuple(doc["sizes"]))
+        profits, sizes = json_fields(doc, "knapsack instance", "profits", "sizes")
+        return cls(tuple(json_list(profits, "profits")), tuple(json_list(sizes, "sizes")))
 
 
 @dataclass(frozen=True)

@@ -312,6 +312,8 @@ class ReluNetwork:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ReluNetwork":
         """The network of a :meth:`to_json_dict` document; a malformed one raises ConstructionError."""
+        if not isinstance(doc, dict) or "layers" not in doc or "arcs" not in doc:
+            raise ConstructionError("a network document is a JSON object with 'layers' and 'arcs'")
         return cls(doc["layers"], doc["arcs"], doc.get("biases", ()))
 
 

@@ -2,7 +2,8 @@
 
 Each suite returns a :class:`SuiteResult` with check/failure counts so
 that the command line can print per-suite summaries and exit nonzero on
-any failure.  The probe helpers are also reused by the test suite.
+any failure.  The probe helpers draw random cell inputs and run each
+cell's ``check_layers``; the test suite reuses them.
 
 Probe values live on the 2**-26 grid (like generated instances), where
 every sum the networks form is exactly representable, so the zero-
@@ -18,14 +19,7 @@ import numpy as np
 
 from . import co_builders, dp_nn, fptas_nn, instance_gen
 from .instance_gen import GRID_QUANTUM, GenConfig, SplitMix64
-from .knapsack_oracles import (
-    KnapsackInstance,
-    brute_force,
-    coarse_index,
-    coarse_index_with_item,
-    dp_table,
-    fptas_reference,
-)
+from .knapsack_oracles import KnapsackInstance, brute_force, dp_table, fptas_reference
 from .relu_core import ReluNetwork, min2_gadget, min_n_gadget, unfold
 
 __all__ = [
@@ -52,6 +46,14 @@ class SuiteResult:
             self.failures += 1
             if message and len(self.messages) < 20:
                 self.messages.append(message)
+
+    def ok_all(self, name: str, ok: np.ndarray):
+        """One check per entry of ``ok``; a failing entry's message gives ``name`` and its index."""
+        self.checks += ok.size
+        bad = np.flatnonzero(~ok)
+        self.failures += bad.size
+        for i in bad[: 20 - len(self.messages)]:
+            self.messages.append(f"{name} fails at entry {i}")
 
     @property
     def passed(self) -> bool:
@@ -85,59 +87,29 @@ def capped_instance(seed: int, p_star: int, max_items: int) -> KnapsackInstance:
 
 def probe_dp_cell(cell: dp_nn.DpCell, rng: SplitMix64, evals: int, result: SuiteResult,
                   counters: dict | None = None):
-    """Random-input activation probes of the exact-step cell.
+    """Random-input probes of the exact-step cell through :meth:`DpCell.check_layers`.
 
-    Checks, per evaluation and per coordinate: the profit-gate pair is 0
-    exactly at k = p_in and >= 2 elsewhere; the selector row carries
-    exactly f_in(p - p_in) (else 0); the minimum helper equals the
-    positive part of the branch difference; and the outputs equal the
-    recursion minimum.
+    The profit input cycles through 1..p_star + 3, beyond the bound too.
+    ``counters`` tallies gate pairs, selectors and minimum rows.
     """
     p_star = cell.p_star
     c = counters if counters is not None else {}
     for key in ("gates", "selection", "minimum"):
         c.setdefault(key, 0)
     for i in range(evals):
-        p_in = 1 + i % (p_star + 3)  # cycle through all values, incl. beyond the bound
+        p_in = 1 + i % (p_star + 3)
         f_in = grid_values(rng, p_star, 1, 2**27)  # ]0, 2]
         s_in = rng.randint(1, 2**26) * GRID_QUANTUM  # ]0, 1]
         x = np.concatenate([f_in, [float(p_in), s_in]])
-        layers = cell.net.evaluate_layers(x)
-        l1, l2, l3 = layers[1], layers[2], layers[3]
-        for k in range(1, p_star + 1):
-            pair = l1[cell.idx_gate_plus(k)] + l1[cell.idx_gate_minus(k)]
-            if k == p_in:
-                result.ok(pair == 0.0, f"gate pair nonzero at k == p_in == {k}")
-            else:
-                result.ok(pair >= 2.0, f"gate pair below 2 at k={k}, p_in={p_in}")
-            c["gates"] += 1
-        for p in range(1, p_star + 1):
-            for k in range(1, p):
-                got = l2[cell.idx_selector(p, k)]
-                want = f_in[p - k - 1] if k == p_in else 0.0
-                result.ok(got == want, f"selector ({p},{k}) = {got}, want {want}")
-                c["selection"] += 1
-        for p in range(1, p_star + 1):
-            if p_in < p:
-                shifted = f_in[p - p_in - 1]
-            else:
-                shifted = 0.0
-            want = max(0.0, f_in[p - 1] - (shifted + s_in))
-            got = l3[cell.idx_min_helper(p)]
-            result.ok(got == want, f"min helper ({p}) = {got}, want {want}")
-            want_out = min(f_in[p - 1], shifted + s_in)
-            result.ok(layers[-1][p - 1] == want_out, f"output ({p}) off")
-            c["minimum"] += 1
+        _tally(cell.check_layers(cell.net.evaluate_layers(x)), result, c)
 
 
 def probe_fptas_cell(cell: fptas_nn.FptasCell, rng: SplitMix64, evals: int,
                      result: SuiteResult, counters: dict | None = None):
-    """Random-input activation probes of the rounded-step cell.
+    """Random-input probes of the rounded-step cell through :meth:`FptasCell.check_layers`.
 
-    Checks the scaled granularities, the two selector-gate dichotomies
-    against integer-arithmetic re-indexing, the selected values h1 / h2
-    including their out-of-range defaults (2 and 0), and the output
-    minimum identity.
+    ``counters`` tallies granularities, skip and take gate pairs, selected
+    values and output rows.
     """
     P = cell.resolution
     c = counters if counters is not None else {}
@@ -149,43 +121,16 @@ def probe_fptas_cell(cell: fptas_nn.FptasCell, rng: SplitMix64, evals: int,
         g_in = grid_values(rng, P, 0, 2**27)  # [0, 2]
         s_in = rng.randint(1, 2**26) * GRID_QUANTUM
         x = np.concatenate([g_in, [float(total_in), float(p_in), s_in]])
-        layers = cell.net.evaluate_layers(x)
-        l1, l2, l3 = layers[1], layers[2], layers[3]
+        _tally(cell.check_layers(cell.net.evaluate_layers(x)), result, c)
 
-        result.ok(l1[0] == max(0, total_in - P), "old granularity gate off")
-        result.ok(l1[1] == max(0, total_in + p_in - P), "new granularity gate off")
-        c["granularity"] += 2
 
-        d_old = max(P, total_in)
-        d_new = max(P, total_in + p_in)
-        for p in range(1, P + 1):
-            p1 = coarse_index(p, d_old, d_new)
-            p2 = coarse_index_with_item(p, p_in, P, d_old, d_new)
-            for k in range(p, P + 1):
-                pair = l2[cell.idx_skip_gate_plus(p, k)] + l2[cell.idx_skip_gate_minus(p, k)]
-                if k == p1:
-                    result.ok(pair == 0.0, f"skip gate nonzero at k == p1 == {k}")
-                else:
-                    result.ok(pair >= 2.0, f"skip gate below 2 at ({p},{k})")
-                c["skip_gates"] += 1
-            for k in range(1, p + 1):
-                pair = l2[cell.idx_take_gate_plus(p, k)] + l2[cell.idx_take_gate_minus(p, k)]
-                if k == p2:
-                    result.ok(pair == 0.0, f"take gate nonzero at k == p2 == {k}")
-                else:
-                    result.ok(pair >= 2.0, f"take gate below 2 at ({p},{k})")
-                c["take_gates"] += 1
-            result.ok(p2 <= p, f"take re-index {p2} above row {p}")
-            h1, h2 = cell.selected_values(layers, p)
-            want_h1 = g_in[p1 - 1] if p1 <= P else 2.0
-            want_h2 = g_in[p2 - 1] if p2 >= 1 else 0.0
-            result.ok(h1 == want_h1, f"h1({p}) = {h1}, want {want_h1}")
-            result.ok(h2 == want_h2, f"h2({p}) = {h2}, want {want_h2}")
-            c["selected"] += 2
-            want_out = min(h1, s_in + h2)
-            result.ok(layers[-1][p - 1] == want_out, f"output ({p}) off")
-            c["minimum"] += 1
-        result.ok(layers[-1][P] == total_in + p_in, "profit total output off")
+def _tally(checks: dict, result: SuiteResult, counters: dict):
+    """Record every entry of a ``check_layers`` result; invariants named in
+    ``counters`` also add their entry count there."""
+    for name, ok in checks.items():
+        result.ok_all(name, ok)
+        if name in counters:
+            counters[name] += ok.size
 
 
 def _perturbed(net: ReluNetwork, arc_index: int, delta: float) -> ReluNetwork:

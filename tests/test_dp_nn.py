@@ -176,21 +176,13 @@ def test_hidden_recording():
 def test_gate_dichotomy_on_recorded_runs():
     # the probe properties also hold on activations recorded from real runs
     for inst in instance_stream(16_000, 10, 2, 20, 8):
-        p_star = sum(inst.profits)
-        cell = build_dp_cell(p_star)
+        cell = build_dp_cell(sum(inst.profits))
         trace = run_recurrent(cell, inst, record_hidden=True)
         for step, layers in enumerate(trace.hidden):
-            p_i = inst.profits[step]
-            l1, l2 = layers[1], layers[2]
-            for k in range(1, p_star + 1):
-                pair = l1[cell.idx_gate_plus(k)] + l1[cell.idx_gate_minus(k)]
-                assert (pair == 0.0) == (k == p_i)
-                assert pair == 0.0 or pair >= 2.0
-            prev = trace.states[step]
-            for p in range(1, p_star + 1):
-                for k in range(1, p):
-                    want = prev[p - k - 1] if k == p_i else 0.0
-                    assert l2[cell.idx_selector(p, k)] == want
+            item = [inst.profits[step], inst.sizes[step]]
+            assert np.array_equal(layers[0], np.concatenate([trace.states[step], item]))
+            for name, ok in cell.check_layers(layers).items():
+                assert ok.all(), (name, step)
 
 
 def test_arc_count_matches_closed_form():

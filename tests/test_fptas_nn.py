@@ -99,6 +99,18 @@ def test_selector_probes():
     assert result.passed, result.messages
 
 
+def test_invariants_on_recorded_runs():
+    # totals beyond P make every later step round
+    for k, inst in enumerate(instance_stream(23_000, 30, 2, 40, 8)):
+        cell = build_fptas_cell((3, 8, 20)[k % 3])
+        trace = run_fptas(cell, inst, record_hidden=True)
+        assert len(trace.hidden) == inst.n
+        for step, layers in enumerate(trace.hidden):
+            assert layers[0][cell.resolution + 1] == inst.profits[step]
+            for name, ok in cell.check_layers(layers).items():
+                assert ok.all(), (name, step)
+
+
 def test_resolution_for_exact_ceil():
     assert resolution_for(5, "0.1") == 250
     assert resolution_for(5, 0.1) == 250  # float 0.1 means 1/10, not its double
