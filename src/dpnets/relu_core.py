@@ -67,9 +67,9 @@ class ReluNetwork:
 
     Arcs are stored as flat arrays (constructions here are sparse
     relative to dense layers).  On first use the evaluator compiles each
-    layer's arcs into a ``scipy.sparse`` CSR matrix over the concatenated
-    outputs of all earlier layers and keeps only its raw arrays.  Every
-    evaluation then runs one loop over the layers, calling scipy's
+    layer's arcs straight into the raw arrays of a CSR matrix over the
+    concatenated outputs of all earlier layers (see :attr:`_compiled`).
+    Every evaluation then runs one loop over the layers, calling scipy's
     compiled CSR kernels (the private
     ``scipy.sparse._sparsetools.csr_matvec``, and ``csr_matvecs`` for
     :meth:`evaluate_batch`) straight into one output buffer per call.
@@ -229,18 +229,40 @@ class ReluNetwork:
 
     @cached_property
     def _compiled(self):
-        """Per layer l, ``(n_row, n_col, indptr, indices, data)``: the arrays of
-        its CSR matrix over the concatenated outputs of layers < l."""
+        """Per layer l, ``(n_row, n_col, indptr, indices, data)``: its arcs as a
+        CSR matrix over the concatenated outputs of layers < l.
+
+        The arrays are exactly those ``scipy.sparse.csr_matrix`` builds
+        from the arcs as COO, dtypes included (int32 indices unless the
+        layer needs int64).  Built arcs come grouped by neuron, so rows are
+        sorted only for shuffled documents, and a layer whose rows list
+        their columns strictly increasing is used as stored.  Any other
+        layer goes through scipy's own sort-and-sum, so that a repeated
+        (neuron, source) pair is summed in scipy's order.
+        """
         off = self._bounds
-        cols_global = np.asarray(off)[self._sl] + self._si
+        start = np.asarray(off)
+        row = start[self._tl] - off[1] + self._ti
+        col = start[self._sl] + self._si
+        w = self._w
+        if (row[1:] < row[:-1]).any():
+            order = np.argsort(row, kind="stable")
+            row, col, w = row[order], col[order], w[order]
+        ptr = np.zeros(off[-1] - off[1] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row, minlength=ptr.size - 1), out=ptr[1:])
+        # arc i + 1 repeats or undercuts the column of arc i in the same row
+        unsorted = (row[1:] == row[:-1]) & (col[1:] <= col[:-1])
         compiled = []
-        for l in range(1, len(self.layer_sizes)):
-            mask = self._tl == l
-            mat = sparse.csr_matrix(
-                (self._w[mask], (self._ti[mask], cols_global[mask])),
-                shape=(self.layer_sizes[l], off[l]),
-            )
-            compiled.append((*mat.shape, mat.indptr, mat.indices, mat.data))
+        for l in range(1, len(off) - 1):
+            r0, r1 = off[l] - off[1], off[l + 1] - off[1]
+            n_row, n_col, a, b = r1 - r0, off[l], ptr[r0], ptr[r1]
+            idx = np.int32 if max(n_row, n_col, b - a) <= np.iinfo(np.int32).max else np.int64
+            indptr, indices, data = (ptr[r0 : r1 + 1] - a).astype(idx), col[a:b].astype(idx), w[a:b]
+            if unsorted[a:b].any():
+                mat = sparse.csr_matrix((data.copy(), indices, indptr), shape=(n_row, n_col))
+                mat.sum_duplicates()
+                indptr, indices, data = mat.indptr, mat.indices, mat.data
+            compiled.append((n_row, n_col, indptr, indices, data))
         return compiled
 
     def _forward(self, x):

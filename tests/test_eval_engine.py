@@ -14,8 +14,10 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import reference_builders as ref
+from test_serialization import layered_networks
 from dpnets import co_builders, dp_nn, fptas_nn
 from dpnets.errors import NumericOverflowError, ShapeMismatchError
 from dpnets.instance_gen import SplitMix64, gen_graph
@@ -130,6 +132,49 @@ def test_json_networks(shuffle, repeat):
         merged += net.num_arcs - sum(c[4].size for c in net._compiled)
     # repeated pairs come out summed
     assert (merged > 0) == repeat
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(layered_networks())
+def test_random_layered_networks_compile_like_scipy(net):
+    assert_compiled_like_scipy(net)
+
+
+REPEATS = (2.0**53, 1.0, -(2.0**53), 1.0)
+
+
+@pytest.mark.parametrize(
+    "repeats, at",
+    [((), 0), (REPEATS, 0), (REPEATS, 9), (REPEATS, 21), (REPEATS, 24)],
+    ids=["no-repeats", "repeats-at-0", "repeats-at-9", "repeats-at-21", "repeats-at-24"],
+)
+def test_descending_row(repeats, at):
+    # arcs from inputs 23, ..., 0 into the one output, `repeats` more from
+    # input 5 at position `at`; scipy sorts rows of more than 16 arcs with
+    # an unstable sort, so the repeats are summed in an order of scipy's
+    # choosing, and the order shows in the sum
+    arcs = [(0, si, 1, 0, float(si + 1)) for si in range(23, -1, -1)]
+    net = ReluNetwork([24, 1], arcs[:at] + [(0, 5, 1, 0, w) for w in repeats] + arcs[at:])
+    assert net._compiled[0][3].tolist() == list(range(24))
+    assert_engine_matches(net, grid_inputs(net, at))
+
+
+def test_empty_selector_layer():
+    net = dp_nn.build_dp_cell(1).net
+    n_row, n_col, indptr, indices, data = net._compiled[1]
+    assert (n_row, n_col, indptr.tolist(), indices.size, data.size) == (0, 5, [0], 0, 0)
+    assert_compiled_like_scipy(net)
+
+
+@pytest.mark.parametrize(
+    "arcs", [[], [(0, 2**31 - 1, 1, 0, 1.0), (0, 3, 1, 0, 2.0), (0, 3, 1, 0, 0.5)]], ids=["no-arcs", "repeated-pair"]
+)
+def test_int64_indices_past_int32_columns(arcs):
+    # compiled only: one evaluation would allocate 2**31 inputs
+    net = ReluNetwork([2**31, 1], arcs)
+    assert_compiled_like_scipy(net)
+    for array in net._compiled[0][2:4]:
+        assert array.dtype == np.int64
 
 
 # -- batches ------------------------------------------------------------------
