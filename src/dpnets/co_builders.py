@@ -22,15 +22,26 @@ at or above BIG still means unreachable.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import permutations
 
 import numpy as np
 
-from .errors import SizeGuardError
+from .errors import ConstructionError, SizeGuardError
 from .knapsack_oracles import integer_value, json_fields, json_list, number_value
-from .relu_core import AffineRows, ReluNetwork, min_reduce_many, network_from_blocks, relu_layer
+from .relu_core import (
+    MAX_ARCS,
+    AffineRows,
+    ReluNetwork,
+    _min_tree,
+    _rounds,
+    check_arc_budget,
+    min_reduce_many,
+    network_from_blocks,
+    relu_layer,
+)
 
 __all__ = [
     "CspNetwork",
@@ -246,7 +257,7 @@ def build_bellman_ford_cell(graph: WeightedGraph) -> ReluNetwork:
     # group v holds f_prev[u] + c(u, v) for u = 0..n-1
     shifted = AffineRows.refs(0, n).take(np.tile(np.arange(n), n)).shift(graph.lengths.T.ravel())
     layers = []
-    outs = min_reduce_many(layers, shifted, np.full(n, n))
+    outs = min_reduce_many(layers, shifted, n)
     return network_from_blocks(n, [*layers, outs.layer()])
 
 
@@ -297,7 +308,7 @@ def build_min_plus_square_cell(n: int) -> ReluNetwork:
     # group (u, v) holds d(u, k) + d(k, v) for k = 0..n-1
     u, v, k = (a.ravel() for a in np.indices((n, n, n)))
     layers = []
-    outs = min_reduce_many(layers, d.take(u * n + k) + d.take(k * n + v), np.full(n * n, n))
+    outs = min_reduce_many(layers, d.take(u * n + k) + d.take(k * n + v), n)
     return network_from_blocks(n * n, [*layers, outs.layer()])
 
 
@@ -389,6 +400,88 @@ def _offdiag(matrix) -> np.ndarray:
     return np.array([m[u, v] for u in range(n) for v in range(n) if u != v])
 
 
+def _listings(m: int, row: int) -> int:
+    """How many hidden rows of the minimum tree over m rows list the terms of `row`:
+    the rounds in which a value ending at `row` is paired."""
+    return sum(1 for r, pairs in _rounds(m)
+               if (j := row >> (r - 1)) < 2 * pairs and row == min((j + 1) << (r - 1), m) - 1)
+
+
+def _tree_neurons(r: int, lb: int) -> int:
+    """Earlier neurons in the hidden row of a round-r pair whose right operand
+    ends at row lb: r - 1 of the left operand, one per set low bit of lb."""
+    return r - 1 + (lb & ((1 << (r - 1)) - 1)).bit_count()
+
+
+def _csp_arcs(n: int, c_star: int, source: int) -> int:
+    """Arc count of ``build_csp_network(n, c_star, ., source)``, from its layout.
+
+    With t = n - 1 targets and p = popcount(n): the 2 t**2 c_star gates of
+    one arc; per budget c and target, the keeps (two gate arcs each, plus
+    the p neurons of f(c - k, u) for u != source) and the minimum tree over
+    n + 1 rows that share no source (f(c - 1, v): p terms from c = 2 on;
+    hop u: its keeps and r(u, v); BIG_R: none); the c_star t outputs of p
+    arcs.  The source's hop, one keep longer, is row source + 1 of the
+    groups of targets above the source and row source of those below.
+    """
+    n, c_star, source = operator.index(n), operator.index(c_star), operator.index(source)
+    t, p, m = n - 1, n.bit_count(), n + 1
+    listed = sum(2 * pairs for _, pairs in _rounds(m))
+    # every pair but a round's last has an uncut right operand
+    neurons = sum(2 * (pairs - 1) * (r - 1) + _tree_neurons(r, min(2 * pairs << (r - 1), m) - 1)
+                  for r, pairs in _rounds(m))
+    first, hops = _listings(m, 0), listed - _listings(m, 0) - _listings(m, n)
+    c_sum, c_less = c_star * (c_star + 1) // 2, c_star * (c_star - 1) // 2
+    tree = c_star * neurons + (c_star - 1) * p * first + c_sum * hops
+    keeps = 2 * c_sum + (t - 1) * (2 + p) * c_less
+    source_hop = (t - source) * _listings(m, source + 1) + source * _listings(m, source)
+    return 2 * t * t * c_star + t * (keeps + tree) + c_star * source_hop + c_star * t * p
+
+
+def _tsp_arcs(n: int, limit: int | None = None) -> int:
+    """Arc count of ``build_tsp_network(n)``, from its layout.
+
+    With N = n - 1, an entry f(T, v) with |T| = s lists the inputs along
+    the path 0, (T - v ascending), v and the neurons of each entry on the
+    way: a(s) = a(s - 1) + 1 + popcount(s - 2) terms, a(1) = 1.  Cardinality
+    t has C(N, t) t groups of m = t - 1 rows f(T - v, u) + c(u, v), the
+    closing group has N rows f(all, u) + c(u, 0).  The terms that two rows
+    of a group share cancel in their row ``b - a`` and are dropped.  With
+    `limit`, summing stops once the count passes it, and that partial
+    count is returned.
+    """
+    big = operator.index(n) - 1
+    ones = [0]  # ones[x] = popcount(0) + ... + popcount(x - 1), as far as needed
+
+    def tree(m: int, k: int) -> int:
+        while len(ones) < m:
+            ones.append(ones[-1] + (len(ones) - 1).bit_count())
+        arcs = 0
+        for r, la, lb in _min_tree(m):
+            # Rows at places i < j of T - v = {s_1 < ... < s_m} share the path steps
+            # s_x -> s_x+1 (s_0 = 0) for x outside {i - 1, i, j - 1, j} (all but
+            # i - 1 and i when j = m), and the neurons of the entries on the first
+            # i - 1 of them.
+            i, j = la + 1, lb + 1
+            steps = m - 2 if j == m else m - 3 if j == i + 1 else m - 4
+            arcs += 2 * k - 2 * (steps + ones[max(i - 2, 0)]) + _tree_neurons(r, lb)
+        return arcs
+
+    terms = 1
+    total = 0
+    for t in range(2, big + 1):
+        total += math.comb(big, t) * t * tree(t - 1, terms + 1)
+        if limit is not None and total > limit:
+            return total
+        terms += 1 + (t - 2).bit_count()
+    return total + tree(big, terms + 1) + terms + 1 + (big - 1).bit_count()
+
+
+def _edge(n: int, u, v):
+    """Input index of the edge (u, v) among the row-major off-diagonal entries."""
+    return u * (n - 1) + v - (v > u)
+
+
 def build_csp_network(n: int, c_star: int, resource_bound: float, source: int = 0) -> CspNetwork:
     """Network executing f(c, v) = min(f(c-1, v), min_u(f(c - c_uv, u) + r_uv)).
 
@@ -398,6 +491,10 @@ def build_csp_network(n: int, c_star: int, resource_bound: float, source: int = 
     BIG_R ("no path"), not 0, so the selector is the complement form
     BIG_R - sum(keeps).  Edges from the source use the constant base row
     f(., source) = 0; lengths beyond c_star simply never match a gate.
+
+    The network has ``_csp_arcs(n, c_star, source)`` arcs, about
+    2 n**2 c_star**2 (4,892 at n = 5, c_star = 10); a size whose count
+    exceeds ``relu_core.MAX_ARCS`` is refused before anything is built.
     """
     if n < 2:
         raise ValueError("need at least two vertices")
@@ -407,79 +504,64 @@ def build_csp_network(n: int, c_star: int, resource_bound: float, source: int = 
         raise ValueError("resource_bound must be non-negative")
     if not 0 <= source < n:
         raise ValueError("source out of range")
-    if n * n * c_star * c_star > 10**8:
-        raise SizeGuardError("state space too large")
+    num_arcs = _csp_arcs(n, c_star, source)
+    check_arc_budget(num_arcs, f"the constrained-path network for n = {n}, c_star = {c_star}")
     big_r = 2.0 * (n * float(resource_bound) + 1.0)
     gate = 2.0 * big_r
-    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
-    pair_pos = {uv: i for i, uv in enumerate(pairs)}
-    inputs = AffineRows.refs(0, 2 * len(pairs))  # lengths c(u, v), then resources r(u, v)
-    targets = [v for v in range(n) if v != source]
-    target_pos = {v: j for j, v in enumerate(targets)}
+    edges = n * (n - 1)  # inputs: the lengths c(u, v), then the resources r(u, v)
+    t = n - 1
+    targets = np.delete(np.arange(n), source)
     layers = []
 
-    # Gate pair (plus, minus) of the test c(u, v) == k, for every edge into a target.
-    gated = [uv for uv in pairs if uv[1] != source]
-    gate_pos = {uv: i for i, uv in enumerate(gated)}
-    lengths = inputs.take(np.repeat([pair_pos[uv] for uv in gated], c_star)).scale(gate)
-    gate_k = gate * np.tile(np.arange(1, c_star + 1), len(gated))
-    plus, minus = lengths.shift(-gate_k), (-lengths).shift(gate_k)
-    gates = relu_layer(layers, AffineRows.stack([plus, minus]).take(
-        np.arange(2 * plus.n).reshape(2, -1).T.ravel()
+    # Gate pair (plus, minus) of the test c(u, v) == k, for the j-th edge into a
+    # target (u-major) and k = 1..c_star: neurons 2 (j c_star + k - 1) + {0, 1}.
+    eu, ev = np.divmod(np.arange(n * n), n)
+    into = (eu != ev) & (ev != source)
+    eu, ev = eu[into], ev[into]
+    gate_k = gate * np.tile(np.arange(1, c_star + 1), eu.size)
+    layers.append((
+        [(0, np.repeat(_edge(n, eu, ev), 2 * c_star), np.arange(2 * gate_k.size), np.tile([gate, -gate], gate_k.size))],
+        np.column_stack((-gate_k, gate_k)).ravel(),
     ))
 
-    def gate_of(u, v, k):
-        return 2 * (gate_pos[u, v] * c_star + k - 1)
-
-    # Row 0 of the table is the source's constant 0, row 1 the constant BIG_R of
-    # a length budget c <= 0, and then f(c, v) for c = 1, 2, ... and v in targets.
+    # Hop (u, v) for each target v and u != v, v-major.  Table row 0 is the
+    # source's constant 0, row 1 the constant BIG_R of a budget c <= 0, and then
+    # f(c, v) for c = 1, 2, ... is row (c - 1) t + row_of[v].
+    edge = np.argsort(ev, kind="stable")  # each hop's edge
+    hop_u, from_source = eu[edge], eu[edge] == source
+    resource = edges + _edge(n, eu[edge], ev[edge])
+    row_of = np.zeros(n, dtype=np.int64)
+    row_of[targets] = 2 + np.arange(t)
+    # group v of the minimum: f(c - 1, v), the n - 1 hops into v, BIG_R
+    hops = t * (n - 1)
+    order = np.column_stack((np.arange(t), t + np.arange(hops).reshape(t, n - 1), t + hops + np.arange(t))).ravel()
     table = AffineRows.constant([0.0, big_r])
-
-    def table_row(c, v):
-        if v == source:
-            return 0
-        if c <= 0:
-            return 1
-        return 2 + (c - 1) * len(targets) + target_pos[v]
-
     for c in range(1, c_star + 1):
-        keep_rows, keep_gates, keeps_per_hop, hop_resources = [], [], [], []
-        for v in targets:
-            for u in range(n):
-                if u == v:
-                    continue
-                kmax = c if u == source else c - 1
-                for k in range(1, kmax + 1):
-                    keep_rows.append(table_row(c - k, u))
-                    keep_gates.append(gate_of(u, v, k))
-                keeps_per_hop.append(kmax)
-                hop_resources.append(len(pairs) + pair_pos[u, v])
-        keep_gates = np.asarray(keep_gates, dtype=np.int64)
-        keeps = relu_layer(
-            layers,
-            (-table.take(keep_rows)).shift(big_r) - gates.take(keep_gates) - gates.take(keep_gates + 1),
-        )
-        # hop(u, v) = BIG_R - (sum of its keeps) + r(u, v)
-        hops = len(keeps_per_hop)
-        hop = AffineRows(
-            np.repeat(np.arange(hops), keeps_per_hop), keeps.sl, keeps.si, -keeps.coef, np.full(hops, big_r)
-        ) + inputs.take(hop_resources)
-        # group v: f(c - 1, v), the n - 1 hops into v, BIG_R
-        t = len(targets)
-        candidates = AffineRows.stack([
-            table.take([table_row(c - 1, v) for v in targets]),
-            hop,
-            AffineRows.constant(np.full(t, big_r)),
-        ])
-        order = np.concatenate(
-            [np.arange(t)[:, None], t + np.arange(hops).reshape(t, n - 1), t + hops + np.arange(t)[:, None]],
-            axis=1,
-        )
-        f_c = min_reduce_many(layers, candidates.take(order.ravel()), np.full(t, n + 1))
-        table = AffineRows.stack([table, f_c])
+        # keep (v, u, k) = relu(BIG_R - f(c - k, u) - plus - minus) for k = 1..kmax;
+        # u = source reads the constant 0 up to k = c.
+        kmax = np.where(from_source, c, c - 1)
+        hop = np.repeat(np.arange(kmax.size), kmax)
+        keep = np.arange(hop.size)
+        k = keep - (np.cumsum(kmax) - kmax)[hop] + 1
+        g = 2 * (c_star * edge[hop] + k - 1)
+        read = table.take(np.where(from_source[hop], 0, (c - k - 1) * t + row_of[hop_u[hop]]))
+        layers.append(([(read.sl, read.si, read.row, -read.coef), (1, g, keep, -1.0), (1, g + 1, keep, -1.0)],
+                       big_r - read.const))
+        # hop(u, v) = BIG_R - (its keeps) + r(u, v)
+        end = np.cumsum(kmax + 1) - 1
+        terms = end[-1] + 1
+        sl, si, coef = np.zeros(terms, dtype=np.int64), np.zeros(terms, dtype=np.int64), np.zeros(terms)
+        sl[keep + hop], si[keep + hop], coef[keep + hop] = len(layers), keep, -1.0
+        si[end], coef[end] = resource, 1.0
+        hop_rows = AffineRows(np.repeat(np.arange(kmax.size), kmax + 1), sl, si, coef, np.full(kmax.size, big_r))
+        previous = table.take(np.full(t, 1) if c == 1 else (c - 2) * t + 2 + np.arange(t))
+        candidates = AffineRows.stack([previous, hop_rows, AffineRows.constant(np.full(t, big_r))]).take(order)
+        table = AffineRows.stack([table, min_reduce_many(layers, candidates, n + 1)])
 
-    outputs = table.take(np.arange(2, table.n))
-    net = network_from_blocks(inputs.n, [*layers, outputs.layer()])
+    outputs = table.take(np.arange(2, table.n)).layer()
+    net = network_from_blocks(2 * edges, [*layers, outputs])
+    if net.num_arcs != num_arcs:
+        raise ConstructionError(f"built {net.num_arcs} arcs, closed form says {num_arcs}")
     return CspNetwork(net, n, c_star, source, big_r, float(resource_bound))
 
 
@@ -555,41 +637,62 @@ def build_tsp_network(n: int) -> TspNetwork:
     f(T, v) is the shortest path from the start vertex through exactly
     the vertex set T, ending at v in T; the recursion minimizes over the
     predecessor.  Tours close with min_u(f(all, u) + c(u, start)).
-    Guarded at n <= 16 (there are 2**(n-1) subsets).
+
+    The network has ``_tsp_arcs(n)`` arcs, about 2.8x more per added
+    vertex (10,380 at n = 8, 760,620 at n = 12); a size whose count
+    exceeds ``relu_core.MAX_ARCS`` is refused before anything is built.
     """
     if n < 2:
         raise SizeGuardError("a tour needs at least two vertices")
-    if n > 16:
-        raise SizeGuardError(f"subset table for n = {n} > 16 is too large")
-    inputs = AffineRows.refs(0, n * (n - 1))
-
-    def c(u, v):
-        return u * (n - 1) + (v - 1 if v > u else v)
-
-    # f holds the rows f(T, v) of one cardinality |T|; row_of maps (T, v) to its row.
-    f = inputs.take([c(0, v) for v in range(1, n)])
-    row_of = {(1 << (v - 1), v): v - 1 for v in range(1, n)}
+    num_arcs = _tsp_arcs(n, MAX_ARCS)
+    check_arc_budget(num_arcs, f"the tour network for n = {n}")
+    big = n - 1
+    # A set T of the vertices 1..N (N = n - 1) is the mask with bit N - x
+    # set for each x in T.  Masks of one size in decreasing order list
+    # their sets in lexicographic order, v ascending within each set, and
+    # rank[mask] is the set's place in that order.
+    masks = np.arange(1 << big)
+    size = sum((masks >> b) & 1 for b in range(big))
+    rank = np.zeros(masks.size, dtype=np.int64)
+    rank[1 << (big - np.arange(1, n))] = np.arange(big)
+    f = AffineRows(np.arange(big), np.zeros(big, dtype=np.int64), _edge(n, 0, np.arange(1, n)), np.ones(big),
+                   np.zeros(big))  # f({v}, v) = c(0, v)
     layers = []
     for t in range(2, n):
-        entries, prev_rows, last_hops = [], [], []
-        for combo in combinations(range(1, n), t):
-            mask = 0
-            for v in combo:
-                mask |= 1 << (v - 1)
-            for v in combo:
-                prev = mask ^ (1 << (v - 1))
-                entries.append((mask, v))
-                for u in combo:
-                    if u != v:
-                        prev_rows.append(row_of[prev, u])
-                        last_hops.append(c(u, v))
-        paths = f.take(prev_rows) + inputs.take(last_hops)
-        f = min_reduce_many(layers, paths, np.full(len(entries), t - 1))
-        row_of = {key: j for j, key in enumerate(entries)}
-    full = (1 << (n - 1)) - 1
-    closing = f.take([row_of[full, u] for u in range(1, n)]) + inputs.take([c(u, 0) for u in range(1, n)])
-    tour = min_reduce_many(layers, closing, [n - 1])
-    return TspNetwork(network_from_blocks(inputs.n, [*layers, tour.layer()]), n)
+        sets = masks[size == t][::-1]
+        members = np.nonzero((sets[:, None] >> (big - 1 - np.arange(big))) & 1)[1].reshape(-1, t) + 1
+        # Row f(T, v) = T's rank * t + v's place p in T; its group lists
+        # f(T - v, u) + c(u, v) for the other members u, ascending: the q-th of them
+        # has place q in T - v.
+        entry = np.repeat(np.arange(sets.size * t), t - 1)
+        q = np.tile(np.arange(t - 1), entry.size // (t - 1))
+        p = entry % t
+        v = members.ravel()[entry]
+        u = members.ravel()[entry - p + q + (q >= p)]
+        prev = rank[sets[entry // t] ^ (1 << (big - v))] * (t - 1) + q
+        f = min_reduce_many(layers, _plus_input(f, prev, _edge(n, u, v)), t - 1)
+        rank[sets] = np.arange(sets.size)
+    closing = _plus_input(f, np.arange(big), _edge(n, np.arange(1, n), 0))
+    tour = min_reduce_many(layers, closing, big)
+    net = network_from_blocks(n * (n - 1), [*layers, tour.layer()])
+    if net.num_arcs != num_arcs:
+        raise ConstructionError(f"built {net.num_arcs} arcs, closed form says {num_arcs}")
+    return TspNetwork(net, n)
+
+
+def _plus_input(f: AffineRows, idx, inputs) -> AffineRows:
+    """Rows `idx` of `f`, each plus one input: row i gains the term of input ``inputs[i]``.
+
+    Every row of `f` has the same number of terms, none of them an input
+    that is added here.
+    """
+    k = f.sl.size // f.n
+    terms = []
+    for a, new in ((f.sl, 0), (f.si, inputs), (f.coef, 1.0)):
+        rows = np.empty((idx.size, k + 1), dtype=a.dtype)
+        rows[:, :k], rows[:, k] = a.reshape(-1, k)[idx], new
+        terms.append(rows.ravel())
+    return AffineRows(np.repeat(np.arange(idx.size), k + 1), *terms, f.const[idx] + 0.0)
 
 
 def run_tsp(dist) -> float:

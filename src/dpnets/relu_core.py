@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 from scipy import sparse
@@ -47,9 +47,12 @@ MAX_ARCS = 2**23
 
 
 def check_arc_budget(num_arcs: int, what: str) -> None:
-    """Refuse a construction whose arc count, known before building, exceeds MAX_ARCS."""
+    """Refuse a construction whose arc count, known before building, exceeds MAX_ARCS.
+
+    `num_arcs` may also be a partial count that already exceeds it.
+    """
     if num_arcs > MAX_ARCS:
-        raise SizeGuardError(f"{what} would have {num_arcs} arcs, above the budget of {MAX_ARCS}")
+        raise SizeGuardError(f"{what} would have more than the budget of {MAX_ARCS} arcs ({num_arcs} counted)")
 
 
 @dataclass(frozen=True)
@@ -340,7 +343,10 @@ class ReluNetwork:
 
 
 def _numbers(values, row_shape: tuple, message: str) -> np.ndarray:
-    """`values` as a float array of rows shaped `row_shape`, else ConstructionError(message)."""
+    """`values` as a float array of rows shaped `row_shape`, else ConstructionError(message).
+
+    A boolean among numbers is refused too: numpy would read it as 0 or 1.
+    """
     try:
         arr = np.asarray(values)
     except ValueError:  # ragged rows
@@ -349,6 +355,10 @@ def _numbers(values, row_shape: tuple, message: str) -> np.ndarray:
         arr = arr.reshape(0, *row_shape)
     if arr.ndim != 1 + len(row_shape) or arr.shape[1:] != row_shape or arr.dtype.kind not in "iuf":
         raise ConstructionError(message)
+    if not isinstance(values, np.ndarray):
+        types = set(map(type, chain.from_iterable(values) if row_shape else values))
+        if bool in types or np.bool_ in types:
+            raise ConstructionError(message)
     return arr.astype(np.float64, copy=False)
 
 
@@ -373,9 +383,14 @@ def network_from_blocks(n_inputs: int, layers) -> ReluNetwork:
     arcs = []
     biases = []
     for layer, (blocks, bias) in enumerate(layers, start=1):
-        parts = [np.broadcast_arrays(*map(np.atleast_1d, block)) for block in blocks]
-        sl, si, ti = (np.concatenate([p[j] for p in parts], dtype=np.int64) for j in range(3))
-        w = np.concatenate([p[3] for p in parts], dtype=np.float64)
+        columns = [[], [], [], []]
+        for block in blocks:
+            block = [np.asarray(x) for x in block]
+            k = max((x.size for x in block if x.ndim and x.size != 1), default=1)
+            for column, x in zip(columns, block):
+                column.append(x if x.shape == (k,) else np.broadcast_to(x, (k,)))
+        sl, si, ti = (np.concatenate(column, dtype=np.int64) for column in columns[:3])
+        w = np.concatenate(columns[3], dtype=np.float64)
         order = np.argsort(ti, kind="stable")
         order = order[w[order] != 0.0]
         arcs.append((sl[order], si[order], np.full(order.size, layer), ti[order], w[order]))
@@ -450,12 +465,12 @@ class AffineRows:
     def take(self, idx) -> "AffineRows":
         """The rows `idx`, in that order; a row may be taken more than once."""
         idx = np.asarray(idx, dtype=np.int64).reshape(-1)
-        ptr = np.searchsorted(self.row, np.arange(self.n + 1))
-        first = ptr[idx]
-        count = ptr[idx + 1] - first
-        row = np.repeat(np.arange(idx.size), count)
-        term = np.arange(row.size) + np.repeat(first - (np.cumsum(count) - count), count)
+        row, term, _ = _gather(self._ptr(), idx)
         return AffineRows(row, self.sl[term], self.si[term], self.coef[term], self.const[idx])
+
+    def _ptr(self) -> np.ndarray:
+        """Where each row's terms start, then the term count."""
+        return np.searchsorted(self.row, np.arange(self.n + 1))
 
     @staticmethod
     def stack(parts) -> "AffineRows":
@@ -505,35 +520,109 @@ def relu_layer(layers: list, pre: AffineRows) -> AffineRows:
 # -- minimum gadgets -------------------------------------------------------
 
 
-def min_reduce_many(layers: list, rows: AffineRows, group_sizes) -> AffineRows:
-    """Reduce each group of consecutive rows to its minimum, in lockstep.
+def _gather(ptr, idx):
+    """The terms of rows `idx` (row `i` owns terms ``ptr[i]:ptr[i + 1]``), row by row.
 
-    Group g is the next ``group_sizes[g]`` rows.  All groups advance one
-    pairwise round per hidden layer: rows 2i and 2i + 1 of a group, a and
-    b, become ``b - relu(b - a)``, and an odd last row carries over.  So
-    `layers` gains ceil(log2(max group size)) layers and each group of
-    g rows costs g - 1 neurons.  The affine outputs of one round feed the
-    next round's rectifiers directly (no relay neurons), which is what
-    keeps the depth logarithmic.  Returns one row per group.
+    Returns each term's place in `idx`, its index, and where the terms of
+    each row of `idx` start in the result, then their total.
     """
-    sizes = np.asarray(group_sizes, dtype=np.int64)
-    while (sizes > 1).any():
-        start = np.cumsum(sizes) - sizes
-        pairs = sizes // 2
-        group = np.repeat(np.arange(sizes.size), pairs)
-        i = np.arange(group.size) - (np.cumsum(pairs) - pairs)[group]
-        a = start[group] + 2 * i
-        b = rows.take(a + 1)
-        h = relu_layer(layers, b - rows.take(a))
-        odd = np.flatnonzero(sizes % 2)
-        last = start[odd] + sizes[odd] - 1
-        sizes = pairs + sizes % 2
-        start = np.cumsum(sizes) - sizes
-        place = np.empty(int(sizes.sum()), dtype=np.int64)
-        place[start[group] + i] = np.arange(group.size)
-        place[start[odd] + pairs[odd]] = group.size + last
-        rows = AffineRows.stack([b - h, rows]).take(place)
-    return rows
+    first = ptr[idx]
+    count = ptr[idx + 1] - first
+    bounds = np.concatenate(([0], np.cumsum(count)))
+    at = np.repeat(np.arange(idx.size), count)
+    return at, np.arange(at.size) + (first - bounds[:-1])[at], bounds
+
+
+def _rounds(m: int):
+    """``(r, pairs)`` for each round r of the minimum tree over m values.
+
+    Round r pairs values 2i and 2i + 1 of the previous round, a and b, and
+    an odd last value carries over.  After r rounds, value j covers the
+    values ``j * 2**r`` up to ``(j + 1) * 2**r - 1`` (cut at m).
+    """
+    r = 1
+    while (m - 1) >> (r - 1):
+        yield r, (((m - 1) >> (r - 1)) + 1) // 2
+        r += 1
+
+
+def _min_tree(m: int):
+    """``(r, la, lb)`` for each pair of :func:`_rounds`: the last value that a and b cover."""
+    for r, pairs in _rounds(m):
+        for i in range(pairs):
+            yield r, ((2 * i + 1) << (r - 1)) - 1, min((2 * i + 2) << (r - 1), m) - 1
+
+
+def min_reduce_many(layers: list, rows: AffineRows, m: int) -> AffineRows:
+    """Reduce each run of m consecutive rows to its minimum, in lockstep.
+
+    All runs advance one pairwise round of :func:`_min_tree` per hidden
+    layer: a and b become ``b - relu(b - a)``.  So `layers` gains
+    ceil(log2(m)) layers and each run costs m - 1 neurons.  The affine
+    outputs of one round feed the next round's rectifiers directly (no
+    relay neurons), which is what keeps the depth logarithmic.  Returns
+    one row per run.
+
+    The tree fixes every index.  A value whose last row is L is row L
+    minus the neuron of each round s in which it was a right operand b,
+    that is, in which bit s - 1 of L is set; that neuron is pair ``L >> s``
+    of its run in round s.  Each hidden row ``b - a`` lists, as
+    :class:`AffineRows` subtraction would, the terms of b's row (less a's
+    coefficient where a's row has the same source), b's neurons, a's other
+    terms and a's neurons.
+    """
+    if m == 1:
+        return rows
+    base = len(layers)
+    rnd, la, lb = np.array([*_min_tree(m)], dtype=np.int64).T
+    pairs = np.bincount(rnd)[1:]  # per round, a run's pairs
+    run = np.arange(rows.n // m)[:, None]
+
+    def neurons(last, r):
+        """The neurons subtracted before round r by the values whose last rows
+        are `last`, value by value in round order: each one's value, and the
+        layer and index of each run's copy (one row per run)."""
+        i, s = np.nonzero((last[:, None] >> np.arange(r - 1)) & 1)
+        return i, np.repeat(base + 1 + s[None], run.size, axis=0), pairs[s] * run + (last[i] >> (s + 1))
+
+    # The rows of every pair, round after round and run after run.  A lookup of
+    # (row, source) keys finds the sources that a's row shares with b's.
+    gb, ga = (np.concatenate([(m * run + l[rnd == r]).ravel() for r in range(1, pairs.size + 1)]) for l in (lb, la))
+    ptr = rows._ptr()
+    src = rows.sl * (int(rows.si.max(initial=0)) + 1) + rows.si
+    stride = int(src.max(initial=0)) + 1
+    key = rows.row * stride + src
+    order = np.argsort(key)  # keys are distinct: a row lists each source once
+    jb, tb, start = _gather(ptr, gb)
+    ja, ta, _ = _gather(ptr, ga)
+    query = gb[ja] * stride + src[ta]
+    hit = order[np.minimum(np.searchsorted(key, query, sorter=order), max(key.size - 1, 0))]
+    shared = key[hit] == query
+    coef = rows.coef[tb]
+    coef[start[ja[shared]] + hit[shared] - ptr[gb[ja[shared]]]] -= rows.coef[ta[shared]]
+    ta, ja = ta[~shared], ja[~shared]
+    b = (rows.sl[tb], rows.si[tb], jb, coef)
+    a = (rows.sl[ta], rows.si[ta], ja, -rows.coef[ta])
+    bias = rows.const[gb] - rows.const[ga]
+    offsets = np.cumsum([0, *(pairs * run.size)])
+    for r in range(1, pairs.size + 1):
+        p0, p1 = offsets[r - 1], offsets[r]
+        blocks = []
+        for (sl, si, at, w), sign, last in ((b, -1.0, lb), (a, 1.0, la)):
+            t0, t1 = np.searchsorted(at, (p0, p1))
+            blocks.append((sl[t0:t1], si[t0:t1], at[t0:t1] - p0, w[t0:t1]))
+            if r > 1:
+                i, nl, ni = neurons(last[rnd == r], r)
+                blocks.append((nl.ravel(), ni.ravel(), (pairs[r - 1] * run + i).ravel(), sign))
+        layers.append((blocks, bias[p0:p1]))
+    # run j: the terms of its last row, then its neurons
+    out = rows.take(m * run.ravel() + m - 1)
+    _, nl, ni = neurons(np.array([m - 1]), pairs.size + 1)
+    order = np.argsort(np.concatenate([out.row, np.repeat(run.ravel(), ni.shape[1])]), kind="stable")
+    sl = np.concatenate([out.sl, nl.ravel()])[order]
+    si = np.concatenate([out.si, ni.ravel()])[order]
+    coef = np.concatenate([out.coef, np.full(ni.size, -1.0)])[order]
+    return AffineRows(np.repeat(run.ravel(), np.diff(out._ptr()) + ni.shape[1]), sl, si, coef, out.const)
 
 
 def min2_gadget() -> ReluNetwork:
@@ -555,7 +644,7 @@ def min_n_gadget(n: int) -> ReluNetwork:
     if n < 1:
         raise ValueError("minimum of zero values is undefined")
     layers = []
-    out = min_reduce_many(layers, AffineRows.refs(0, n), [n])
+    out = min_reduce_many(layers, AffineRows.refs(0, n), n)
     return network_from_blocks(n, [*layers, out.layer()])
 
 

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from dpnets.cli import main
+from dpnets.relu_core import MAX_ARCS
 from dpnets.verify import capped_instance
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -98,7 +99,7 @@ def test_build_fptas_depth(capsys):
 def test_build_tsp_guard(capsys):
     code, _, err = run_cli(["build", "tsp", "--n", "20"], capsys)
     assert code == 1
-    assert "16" in err
+    assert str(MAX_ARCS) in err
 
 
 def test_gen_deterministic_and_valid(capsys):

@@ -108,6 +108,8 @@ ARC = [0, 0, 1, 0, 1.0]
         pytest.param({"layers": [1, 1], "arcs": [[0, -1, 1, 0, 1.0]]}, id="negative-index"),
         pytest.param({"layers": [1, 1], "arcs": [[], []]}, id="empty-arc-rows"),
         pytest.param({"layers": [1, 1], "arcs": [ARC, None]}, id="null-arc"),
+        pytest.param({"layers": [1, 1], "arcs": [[False, 0, True, 0, 1.0]]}, id="boolean-arc-indices"),
+        pytest.param({"layers": [1, 1], "arcs": [ARC], "biases": [[True, 0, 2.0]]}, id="boolean-bias-layer"),
     ],
 )
 def test_malformed_document_is_refused(doc):
