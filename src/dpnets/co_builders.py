@@ -33,14 +33,14 @@ from .errors import ConstructionError, SizeGuardError
 from .knapsack_oracles import integer_value, json_fields, json_list, number_value
 from .relu_core import (
     MAX_ARCS,
-    AffineRows,
     ReluNetwork,
+    _merge,
     _min_tree,
     _rounds,
+    _take,
     check_arc_budget,
     min_reduce_many,
     network_from_blocks,
-    relu_layer,
 )
 
 __all__ = [
@@ -63,6 +63,7 @@ __all__ = [
     "run_csp",
     "run_lcs",
     "run_tsp",
+    "tsp_brute_force",
 ]
 
 RESOURCE_TOL = 1e-9
@@ -197,17 +198,16 @@ def build_lcs_cell(value_bound: int) -> ReluNetwork:
     if value_bound < 1:
         raise ValueError("value_bound must be >= 1")
     gate = 2.0 * (value_bound + 1)
-    inputs = AffineRows.refs(0, 5)
-    f_diag, f_up, f_left, x, y = (inputs.take(i) for i in range(5))
-    layers = []
-    # max(f_up, f_left) = f_up + relu(f_left - f_up)
-    first = relu_layer(layers, AffineRows.stack(
-        [x.scale(gate) - y.scale(gate), y.scale(gate) - x.scale(gate), f_left - f_up]
-    ))
-    eq_plus, eq_minus, up_to_left = (first.take(i) for i in range(3))
-    best_old = f_up + up_to_left
-    match = relu_layer(layers, f_diag.shift(1.0) - best_old - eq_plus - eq_minus)
-    return network_from_blocks(5, [*layers, (best_old + match).layer()])
+    # Inputs f_diag, f_up, f_left, x, y are neurons 0..4 of layer 0.  Layer 1 holds
+    # eq+ = relu(gate (x - y)), eq- = relu(gate (y - x)) and relu(f_left - f_up), so
+    # that best_old = f_up + relu(f_left - f_up) = max(f_up, f_left); layer 2 holds
+    # match = relu(f_diag + 1 - best_old - eq+ - eq-); the output is best_old + match.
+    layers = [
+        ([(0, [3, 4, 4, 3, 2, 1], [0, 0, 1, 1, 2, 2], [gate, -gate, gate, -gate, 1.0, -1.0])], np.zeros(3)),
+        ([(0, [0, 1], 0, [1.0, -1.0]), (1, [2, 0, 1], 0, -1.0)], [1.0]),
+        ([(0, 1, 0, 1.0), (1, 2, 0, 1.0), (2, 0, 0, 1.0)], [0.0]),
+    ]
+    return network_from_blocks(5, layers)
 
 
 def run_lcs(pair: IntSequencePair) -> int:
@@ -251,14 +251,18 @@ def build_bellman_ford_cell(graph: WeightedGraph) -> ReluNetwork:
     The arc lengths are baked into the cell as biases; vertex v's new
     value is the minimum of n affine shifts, realized by a fused tree of
     pairwise minima.  Depth ceil(log2(n)) + 1, size n * (n - 1),
-    width n * floor(n / 2).
+    width n * floor(n / 2).  The cell has ``_bf_arcs(n)`` arcs, about
+    4 n**2; a graph whose cell exceeds ``relu_core.MAX_ARCS``
+    (from n = 1452) is refused before anything is built.
     """
     n = graph.n
+    num_arcs = _bf_arcs(n)
+    check_arc_budget(num_arcs, f"the relaxation cell for n = {n}")
     # group v holds f_prev[u] + c(u, v) for u = 0..n-1
-    shifted = AffineRows.refs(0, n).take(np.tile(np.arange(n), n)).shift(graph.lengths.T.ravel())
+    rows = [(np.zeros(n * n, dtype=np.int64), np.tile(np.arange(n), n), np.arange(n * n), np.ones(n * n))]
     layers = []
-    outs = min_reduce_many(layers, shifted, n)
-    return network_from_blocks(n, [*layers, outs.layer()])
+    outs = min_reduce_many(layers, (rows, graph.lengths.T.ravel() + 0.0), n)
+    return _checked(network_from_blocks(n, [*layers, outs]), num_arcs)
 
 
 def run_bellman_ford(graph: WeightedGraph, rounds: int | None = None) -> np.ndarray:
@@ -300,16 +304,21 @@ def build_min_plus_square_cell(n: int) -> ReluNetwork:
 
     Inputs and outputs are the row-major flattened n x n matrix; the
     n**2 minima over n sums run in parallel.  Depth ceil(log2(n)) + 1,
-    size n**2 * (n - 1).
+    size n**2 * (n - 1).  The cell has ``_apsp_arcs(n)`` arcs, about
+    5.8 n**3; a size whose count exceeds ``relu_core.MAX_ARCS``
+    (from n = 113) is refused before anything is built.
     """
     if n < 2:
         raise ValueError("need at least two vertices")
-    d = AffineRows.refs(0, n * n)
-    # group (u, v) holds d(u, k) + d(k, v) for k = 0..n-1
+    num_arcs = _apsp_arcs(n)
+    check_arc_budget(num_arcs, f"the min-plus squaring cell for n = {n}")
+    # group (u, v) holds d(u, k) + d(k, v) for k = 0..n-1, one term when u = k = v
     u, v, k = (a.ravel() for a in np.indices((n, n, n)))
+    sums = _merge(np.repeat(np.arange(n**3), 2), np.zeros(2 * n**3, dtype=np.int64),
+                  np.column_stack((u * n + k, k * n + v)).ravel(), np.ones(2 * n**3), np.zeros(n**3))
     layers = []
-    outs = min_reduce_many(layers, d.take(u * n + k) + d.take(k * n + v), n)
-    return network_from_blocks(n * n, [*layers, outs.layer()])
+    outs = min_reduce_many(layers, sums, n)
+    return _checked(network_from_blocks(n * n, [*layers, outs]), num_arcs)
 
 
 def run_apsp(graph: WeightedGraph) -> np.ndarray:
@@ -413,6 +422,44 @@ def _tree_neurons(r: int, lb: int) -> int:
     return r - 1 + (lb & ((1 << (r - 1)) - 1)).bit_count()
 
 
+def _tree_arcs(m: int) -> int:
+    """N(m): arcs from earlier tree neurons into the hidden rows of one minimum tree over m rows."""
+    # every pair but a round's last has an uncut right operand
+    return sum(2 * (pairs - 1) * (r - 1) + _tree_neurons(r, min(2 * pairs << (r - 1), m) - 1)
+               for r, pairs in _rounds(m))
+
+
+def _bf_arcs(n: int) -> int:
+    """Arc count of ``build_bellman_ford_cell`` on n vertices, from its layout.
+
+    Each of the n targets has a minimum tree over n rows of one input
+    each: two inputs into each of its n - 1 hidden rows, N(n) neuron
+    arcs, and an output with one input and popcount(n - 1) neurons.
+    """
+    n = operator.index(n)
+    return n * (2 * (n - 1) + _tree_arcs(n) + 1 + (n - 1).bit_count())
+
+
+def _apsp_arcs(n: int) -> int:
+    """Arc count of ``build_min_plus_square_cell(n)``, from its layout.
+
+    As in :func:`_bf_arcs`, with rows d(u, k) + d(k, v) of two inputs each
+    in each of the n**2 trees.  Rows k and k' share a source only when
+    {k, k'} = {u, v}, which cancels both terms in the 2 (n - 1) groups
+    whose tree pairs those rows; and the row u = k = v has one term, one
+    fewer in each of the 2 (n - 1) hidden rows and the one output listing it.
+    """
+    n = operator.index(n)
+    return n * n * (4 * (n - 1) + _tree_arcs(n) + 2 + (n - 1).bit_count()) - 6 * (n - 1) - 1
+
+
+def _checked(net: ReluNetwork, num_arcs: int) -> ReluNetwork:
+    """`net`, after checking that it has the `num_arcs` arcs its closed form counts."""
+    if net.num_arcs != num_arcs:
+        raise ConstructionError(f"built {net.num_arcs} arcs, closed form says {num_arcs}")
+    return net
+
+
 def _csp_arcs(n: int, c_star: int, source: int) -> int:
     """Arc count of ``build_csp_network(n, c_star, ., source)``, from its layout.
 
@@ -427,12 +474,9 @@ def _csp_arcs(n: int, c_star: int, source: int) -> int:
     n, c_star, source = operator.index(n), operator.index(c_star), operator.index(source)
     t, p, m = n - 1, n.bit_count(), n + 1
     listed = sum(2 * pairs for _, pairs in _rounds(m))
-    # every pair but a round's last has an uncut right operand
-    neurons = sum(2 * (pairs - 1) * (r - 1) + _tree_neurons(r, min(2 * pairs << (r - 1), m) - 1)
-                  for r, pairs in _rounds(m))
     first, hops = _listings(m, 0), listed - _listings(m, 0) - _listings(m, n)
     c_sum, c_less = c_star * (c_star + 1) // 2, c_star * (c_star - 1) // 2
-    tree = c_star * neurons + (c_star - 1) * p * first + c_sum * hops
+    tree = c_star * _tree_arcs(m) + (c_star - 1) * p * first + c_sum * hops
     keeps = 2 * c_sum + (t - 1) * (2 + p) * c_less
     source_hop = (t - source) * _listings(m, source + 1) + source * _listings(m, source)
     return 2 * t * t * c_star + t * (keeps + tree) + c_star * source_hop + c_star * t * p
@@ -532,10 +576,9 @@ def build_csp_network(n: int, c_star: int, resource_bound: float, source: int = 
     resource = edges + _edge(n, eu[edge], ev[edge])
     row_of = np.zeros(n, dtype=np.int64)
     row_of[targets] = 2 + np.arange(t)
-    # group v of the minimum: f(c - 1, v), the n - 1 hops into v, BIG_R
-    hops = t * (n - 1)
-    order = np.column_stack((np.arange(t), t + np.arange(hops).reshape(t, n - 1), t + hops + np.arange(t))).ravel()
-    table = AffineRows.constant([0.0, big_r])
+    hop_at = np.arange(t * (n - 1)).reshape(t, n - 1)  # the n - 1 hops into each target
+    none = np.zeros(0, dtype=np.int64)
+    table = [(none, none, none, np.zeros(0))], np.array([0.0, big_r])
     for c in range(1, c_star + 1):
         # keep (v, u, k) = relu(BIG_R - f(c - k, u) - plus - minus) for k = 1..kmax;
         # u = source reads the constant 0 up to k = c.
@@ -544,25 +587,23 @@ def build_csp_network(n: int, c_star: int, resource_bound: float, source: int = 
         keep = np.arange(hop.size)
         k = keep - (np.cumsum(kmax) - kmax)[hop] + 1
         g = 2 * (c_star * edge[hop] + k - 1)
-        read = table.take(np.where(from_source[hop], 0, (c - k - 1) * t + row_of[hop_u[hop]]))
-        layers.append(([(read.sl, read.si, read.row, -read.coef), (1, g, keep, -1.0), (1, g + 1, keep, -1.0)],
-                       big_r - read.const))
+        read = np.where(from_source[hop], 0, (c - k - 1) * t + row_of[hop_u[hop]])
+        [(sl, si, row, coef)], const = _take([table], read)
+        layers.append(([(sl, si, row, -coef), (1, g, keep, -1.0), (1, g + 1, keep, -1.0)], big_r - const))
         # hop(u, v) = BIG_R - (its keeps) + r(u, v)
         end = np.cumsum(kmax + 1) - 1
         terms = end[-1] + 1
         sl, si, coef = np.zeros(terms, dtype=np.int64), np.zeros(terms, dtype=np.int64), np.zeros(terms)
         sl[keep + hop], si[keep + hop], coef[keep + hop] = len(layers), keep, -1.0
         si[end], coef[end] = resource, 1.0
-        hop_rows = AffineRows(np.repeat(np.arange(kmax.size), kmax + 1), sl, si, coef, np.full(kmax.size, big_r))
-        previous = table.take(np.full(t, 1) if c == 1 else (c - 2) * t + 2 + np.arange(t))
-        candidates = AffineRows.stack([previous, hop_rows, AffineRows.constant(np.full(t, big_r))]).take(order)
-        table = AffineRows.stack([table, min_reduce_many(layers, candidates, n + 1)])
+        hop_rows = [(sl, si, np.repeat(np.arange(kmax.size), kmax + 1), coef)], np.full(kmax.size, big_r)
+        # group v of the minimum: f(c - 1, v), the n - 1 hops into v, BIG_R (row 1)
+        previous = np.full(t, 1) if c == 1 else (c - 2) * t + 2 + np.arange(t)
+        group = np.column_stack((previous, 2 + (c - 1) * t + hop_at, np.ones(t, dtype=np.int64))).ravel()
+        table = _take([table, min_reduce_many(layers, _take([table, hop_rows], group), n + 1)], np.arange(2 + c * t))
 
-    outputs = table.take(np.arange(2, table.n)).layer()
-    net = network_from_blocks(2 * edges, [*layers, outputs])
-    if net.num_arcs != num_arcs:
-        raise ConstructionError(f"built {net.num_arcs} arcs, closed form says {num_arcs}")
-    return CspNetwork(net, n, c_star, source, big_r, float(resource_bound))
+    net = network_from_blocks(2 * edges, [*layers, _take([table], np.arange(2, 2 + c_star * t))])
+    return CspNetwork(_checked(net, num_arcs), n, c_star, source, big_r, float(resource_bound))
 
 
 def run_csp(graph: WeightedGraph, c_star: int, limit) -> dict:
@@ -655,8 +696,8 @@ def build_tsp_network(n: int) -> TspNetwork:
     size = sum((masks >> b) & 1 for b in range(big))
     rank = np.zeros(masks.size, dtype=np.int64)
     rank[1 << (big - np.arange(1, n))] = np.arange(big)
-    f = AffineRows(np.arange(big), np.zeros(big, dtype=np.int64), _edge(n, 0, np.arange(1, n)), np.ones(big),
-                   np.zeros(big))  # f({v}, v) = c(0, v)
+    # f({v}, v) = c(0, v)
+    f = [(np.zeros(big, dtype=np.int64), _edge(n, 0, np.arange(1, n)), np.arange(big), np.ones(big))], np.zeros(big)
     layers = []
     for t in range(2, n):
         sets = masks[size == t][::-1]
@@ -674,25 +715,26 @@ def build_tsp_network(n: int) -> TspNetwork:
         rank[sets] = np.arange(sets.size)
     closing = _plus_input(f, np.arange(big), _edge(n, np.arange(1, n), 0))
     tour = min_reduce_many(layers, closing, big)
-    net = network_from_blocks(n * (n - 1), [*layers, tour.layer()])
-    if net.num_arcs != num_arcs:
-        raise ConstructionError(f"built {net.num_arcs} arcs, closed form says {num_arcs}")
-    return TspNetwork(net, n)
+    net = network_from_blocks(n * (n - 1), [*layers, tour])
+    return TspNetwork(_checked(net, num_arcs), n)
 
 
-def _plus_input(f: AffineRows, idx, inputs) -> AffineRows:
-    """Rows `idx` of `f`, each plus one input: row i gains the term of input ``inputs[i]``.
+def _plus_input(f, idx, inputs):
+    """Rows `idx` of the one-block layer `f`, each plus one input: row i gains
+    the term of input ``inputs[i]``.
 
     Every row of `f` has the same number of terms, none of them an input
     that is added here.
     """
-    k = f.sl.size // f.n
+    [(sl, si, _, coef)], const = f
+    k = sl.size // const.size
     terms = []
-    for a, new in ((f.sl, 0), (f.si, inputs), (f.coef, 1.0)):
+    for a, new in ((sl, 0), (si, inputs), (coef, 1.0)):
         rows = np.empty((idx.size, k + 1), dtype=a.dtype)
         rows[:, :k], rows[:, k] = a.reshape(-1, k)[idx], new
         terms.append(rows.ravel())
-    return AffineRows(np.repeat(np.arange(idx.size), k + 1), *terms, f.const[idx] + 0.0)
+    sl, si, coef = terms
+    return [(sl, si, np.repeat(np.arange(idx.size), k + 1), coef)], const[idx] + 0.0
 
 
 def run_tsp(dist) -> float:

@@ -1,5 +1,14 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "ConstructionError",
+    "InfeasibleTargetError",
+    "NetworkError",
+    "NumericOverflowError",
+    "ShapeMismatchError",
+    "SizeGuardError",
+]
+
 
 class NetworkError(Exception):
     """Base class for network construction and evaluation failures."""

@@ -26,7 +26,6 @@ from .errors import ConstructionError, NumericOverflowError, ShapeMismatchError,
 
 __all__ = [
     "MAX_ARCS",
-    "AffineRows",
     "NetworkStats",
     "ReluNetwork",
     "check_arc_budget",
@@ -34,7 +33,6 @@ __all__ = [
     "min_n_gadget",
     "min_reduce_many",
     "network_from_blocks",
-    "relu_layer",
     "unfold",
 ]
 
@@ -403,121 +401,11 @@ def network_from_blocks(n_inputs: int, layers) -> ReluNetwork:
     return ReluNetwork._from_arrays(sizes, sl, si, tl, ti, w, biases)
 
 
-class AffineRows:
-    """n affine expressions ``sum(coef * o(sl, si)) + const`` over neuron outputs.
-
-    The terms are flat arrays ``row, sl, si, coef`` grouped by row, rows
-    in increasing order, and ``const`` holds one constant per row.
-    Within a row each source neuron ``(sl, si)`` appears once, at the
-    place where it first occurred: adding rows merges a repeated source
-    into its first occurrence and sums its coefficients in the order
-    they occurred.  A source whose coefficients cancel keeps its place;
-    only :func:`network_from_blocks` drops the zero weight.
-
-    A hidden layer is one ``AffineRows`` whose rows are the layer's
-    pre-activations (see :func:`relu_layer`).  Instances are never
-    changed in place.
-    """
-
-    __slots__ = ("row", "sl", "si", "coef", "const")
-
-    def __init__(self, row, sl, si, coef, const):
-        """Rows from terms already in this layout; :meth:`from_terms` makes it."""
-        self.row, self.sl, self.si, self.coef, self.const = row, sl, si, coef, const
-
-    @classmethod
-    def from_terms(cls, row, sl, si, coef, const) -> "AffineRows":
-        """Rows from terms listed in any row order; repeated sources in a row merge."""
-        row, sl, si = (np.asarray(a, dtype=np.int64) for a in (row, sl, si))
-        coef = np.asarray(coef, dtype=np.float64)
-        order = np.lexsort((si, sl, row))  # stable: repeats stay in occurrence order
-        r, a, b, c = row[order], sl[order], si[order], coef[order]
-        first = np.ones(order.size, dtype=bool)
-        first[1:] = (r[1:] != r[:-1]) | (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-        start = np.flatnonzero(first)
-        total = c[start]
-        if start.size < order.size:
-            group = np.cumsum(first) - 1
-            rank = np.arange(order.size) - start[group]
-            for k in range(1, int(rank.max()) + 1):
-                at = rank == k
-                total[group[at]] += c[at]
-        place = np.lexsort((order[start], r[start]))
-        keep = order[start][place]
-        return cls(row[keep], sl[keep], si[keep], total[place], np.asarray(const, dtype=np.float64))
-
-    @classmethod
-    def refs(cls, layer: int, n: int) -> "AffineRows":
-        """Row i is the output of neuron i of `layer`."""
-        idx = np.arange(n)
-        return cls(idx, np.full(n, layer), idx, np.ones(n), np.zeros(n))
-
-    @classmethod
-    def constant(cls, values) -> "AffineRows":
-        """One row without terms per value."""
-        none = np.zeros(0, dtype=np.int64)
-        return cls(none, none, none, np.zeros(0), np.array(values, dtype=np.float64, ndmin=1))
-
-    @property
-    def n(self) -> int:
-        return self.const.size
-
-    def take(self, idx) -> "AffineRows":
-        """The rows `idx`, in that order; a row may be taken more than once."""
-        idx = np.asarray(idx, dtype=np.int64).reshape(-1)
-        row, term, _ = _gather(self._ptr(), idx)
-        return AffineRows(row, self.sl[term], self.si[term], self.coef[term], self.const[idx])
-
-    def _ptr(self) -> np.ndarray:
-        """Where each row's terms start, then the term count."""
-        return np.searchsorted(self.row, np.arange(self.n + 1))
-
-    @staticmethod
-    def stack(parts) -> "AffineRows":
-        """The rows of each part in turn."""
-        offset = np.cumsum([0] + [p.n for p in parts])
-        return AffineRows(
-            np.concatenate([p.row + o for p, o in zip(parts, offset)]),
-            *(np.concatenate([getattr(p, name) for p in parts]) for name in ("sl", "si", "coef", "const")),
-        )
-
-    def scale(self, s: float) -> "AffineRows":
-        return AffineRows(self.row, self.sl, self.si, self.coef * s, self.const * s)
-
-    def shift(self, c) -> "AffineRows":
-        """Add `c` to the constants: one value, or one per row."""
-        return AffineRows(self.row, self.sl, self.si, self.coef, self.const + c)
-
-    def __neg__(self) -> "AffineRows":
-        return self.scale(-1.0)
-
-    def __add__(self, other: "AffineRows") -> "AffineRows":
-        if other.n != self.n:
-            raise ConstructionError(f"cannot add {other.n} rows to {self.n}")
-        return AffineRows.from_terms(
-            *(np.concatenate((getattr(self, name), getattr(other, name))) for name in ("row", "sl", "si", "coef")),
-            self.const + other.const,
-        )
-
-    def __sub__(self, other: "AffineRows") -> "AffineRows":
-        return self + (-other)
-
-    def layer(self):
-        """These rows as one ``(blocks, bias)`` layer of :func:`network_from_blocks`."""
-        return [(self.sl, self.si, self.row, self.coef)], self.const
-
-
-def relu_layer(layers: list, pre: AffineRows) -> AffineRows:
-    """Append `pre` to `layers` as the next hidden layer; return refs to its outputs.
-
-    `layers` lists hidden layers as :func:`network_from_blocks` takes
-    them, so it must start empty: hidden layer l is ``layers[l - 1]``.
-    """
-    layers.append(pre.layer())
-    return AffineRows.refs(len(layers), pre.n)
-
-
-# -- minimum gadgets -------------------------------------------------------
+# -- one-block layers -------------------------------------------------------
+#
+# The minimum tree, the co builders and unfold write each layer as one
+# block, ``([(sl, si, row, coef)], const)``: terms grouped by row, rows in
+# increasing order, each source neuron listed once per row.
 
 
 def _gather(ptr, idx):
@@ -531,6 +419,51 @@ def _gather(ptr, idx):
     bounds = np.concatenate(([0], np.cumsum(count)))
     at = np.repeat(np.arange(idx.size), count)
     return at, np.arange(at.size) + (first - bounds[:-1])[at], bounds
+
+
+def _merge(row, sl, si, coef, const):
+    """A one-block layer ``([(sl, si, row, coef)], const)`` from terms listed in any row order.
+
+    The terms come out grouped by row, rows in increasing order, and each
+    source neuron ``(sl, si)`` once per row, at the place where it first
+    occurred, its coefficients summed in the order they occurred.  A
+    source whose coefficients cancel keeps its place; only
+    :func:`network_from_blocks` drops the zero weight.
+    """
+    row, sl, si = (np.asarray(a, dtype=np.int64) for a in (row, sl, si))
+    coef = np.asarray(coef, dtype=np.float64)
+    order = np.lexsort((si, sl, row))  # stable: repeats stay in occurrence order
+    r, a, b, c = row[order], sl[order], si[order], coef[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (r[1:] != r[:-1]) | (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    start = np.flatnonzero(first)
+    total = c[start]
+    if start.size < order.size:
+        group = np.cumsum(first) - 1
+        rank = np.arange(order.size) - start[group]
+        for k in range(1, int(rank.max()) + 1):
+            at = rank == k
+            total[group[at]] += c[at]
+    place = np.lexsort((order[start], r[start]))
+    keep = order[start][place]
+    return [(sl[keep], si[keep], row[keep], total[place])], np.asarray(const, dtype=np.float64)
+
+
+def _take(parts, idx):
+    """Rows `idx` of the one-block layers `parts`, stacked in turn, as one one-block layer.
+
+    A row may be taken more than once.
+    """
+    blocks = [block for (block,), _ in parts]
+    offset = np.cumsum([0] + [const.size for _, const in parts])
+    row = np.concatenate([block[2] + o for block, o in zip(blocks, offset)])
+    sl, si, coef = (np.concatenate([block[j] for block in blocks]) for j in (0, 1, 3))
+    idx = np.asarray(idx, dtype=np.int64).reshape(-1)
+    at, term, _ = _gather(np.searchsorted(row, np.arange(offset[-1] + 1)), idx)
+    return [(sl[term], si[term], at, coef[term])], np.concatenate([const for _, const in parts])[idx]
+
+
+# -- minimum gadgets -------------------------------------------------------
 
 
 def _rounds(m: int):
@@ -553,30 +486,32 @@ def _min_tree(m: int):
             yield r, ((2 * i + 1) << (r - 1)) - 1, min((2 * i + 2) << (r - 1), m) - 1
 
 
-def min_reduce_many(layers: list, rows: AffineRows, m: int) -> AffineRows:
-    """Reduce each run of m consecutive rows to its minimum, in lockstep.
+def min_reduce_many(layers: list, rows, m: int):
+    """Reduce each run of m consecutive rows of a one-block layer to its minimum, in lockstep.
 
     All runs advance one pairwise round of :func:`_min_tree` per hidden
     layer: a and b become ``b - relu(b - a)``.  So `layers` gains
     ceil(log2(m)) layers and each run costs m - 1 neurons.  The affine
     outputs of one round feed the next round's rectifiers directly (no
     relay neurons), which is what keeps the depth logarithmic.  Returns
-    one row per run.
+    a one-block layer with one row per run, ready to be the next layer
+    or the output layer as it is.
 
     The tree fixes every index.  A value whose last row is L is row L
     minus the neuron of each round s in which it was a right operand b,
     that is, in which bit s - 1 of L is set; that neuron is pair ``L >> s``
-    of its run in round s.  Each hidden row ``b - a`` lists, as
-    :class:`AffineRows` subtraction would, the terms of b's row (less a's
-    coefficient where a's row has the same source), b's neurons, a's other
-    terms and a's neurons.
+    of its run in round s.  Each hidden row ``b - a`` lists, in the order
+    :func:`_merge` would, the terms of b's row (less a's coefficient where
+    a's row has the same source), b's neurons, a's other terms and a's
+    neurons.
     """
     if m == 1:
         return rows
+    [(layer, index, row, weight)], const = rows
     base = len(layers)
     rnd, la, lb = np.array([*_min_tree(m)], dtype=np.int64).T
     pairs = np.bincount(rnd)[1:]  # per round, a run's pairs
-    run = np.arange(rows.n // m)[:, None]
+    run = np.arange(const.size // m)[:, None]
 
     def neurons(last, r):
         """The neurons subtracted before round r by the values whose last rows
@@ -588,22 +523,22 @@ def min_reduce_many(layers: list, rows: AffineRows, m: int) -> AffineRows:
     # The rows of every pair, round after round and run after run.  A lookup of
     # (row, source) keys finds the sources that a's row shares with b's.
     gb, ga = (np.concatenate([(m * run + l[rnd == r]).ravel() for r in range(1, pairs.size + 1)]) for l in (lb, la))
-    ptr = rows._ptr()
-    src = rows.sl * (int(rows.si.max(initial=0)) + 1) + rows.si
+    ptr = np.searchsorted(row, np.arange(const.size + 1))
+    src = layer * (int(index.max(initial=0)) + 1) + index
     stride = int(src.max(initial=0)) + 1
-    key = rows.row * stride + src
+    key = row * stride + src
     order = np.argsort(key)  # keys are distinct: a row lists each source once
     jb, tb, start = _gather(ptr, gb)
     ja, ta, _ = _gather(ptr, ga)
     query = gb[ja] * stride + src[ta]
     hit = order[np.minimum(np.searchsorted(key, query, sorter=order), max(key.size - 1, 0))]
     shared = key[hit] == query
-    coef = rows.coef[tb]
-    coef[start[ja[shared]] + hit[shared] - ptr[gb[ja[shared]]]] -= rows.coef[ta[shared]]
+    coef = weight[tb]
+    coef[start[ja[shared]] + hit[shared] - ptr[gb[ja[shared]]]] -= weight[ta[shared]]
     ta, ja = ta[~shared], ja[~shared]
-    b = (rows.sl[tb], rows.si[tb], jb, coef)
-    a = (rows.sl[ta], rows.si[ta], ja, -rows.coef[ta])
-    bias = rows.const[gb] - rows.const[ga]
+    b = (layer[tb], index[tb], jb, coef)
+    a = (layer[ta], index[ta], ja, -weight[ta])
+    bias = const[gb] - const[ga]
     offsets = np.cumsum([0, *(pairs * run.size)])
     for r in range(1, pairs.size + 1):
         p0, p1 = offsets[r - 1], offsets[r]
@@ -616,13 +551,14 @@ def min_reduce_many(layers: list, rows: AffineRows, m: int) -> AffineRows:
                 blocks.append((nl.ravel(), ni.ravel(), (pairs[r - 1] * run + i).ravel(), sign))
         layers.append((blocks, bias[p0:p1]))
     # run j: the terms of its last row, then its neurons
-    out = rows.take(m * run.ravel() + m - 1)
+    ends = m * run.ravel() + m - 1
+    at, term, _ = _gather(ptr, ends)
     _, nl, ni = neurons(np.array([m - 1]), pairs.size + 1)
-    order = np.argsort(np.concatenate([out.row, np.repeat(run.ravel(), ni.shape[1])]), kind="stable")
-    sl = np.concatenate([out.sl, nl.ravel()])[order]
-    si = np.concatenate([out.si, ni.ravel()])[order]
-    coef = np.concatenate([out.coef, np.full(ni.size, -1.0)])[order]
-    return AffineRows(np.repeat(run.ravel(), np.diff(out._ptr()) + ni.shape[1]), sl, si, coef, out.const)
+    at = np.concatenate([at, np.repeat(run.ravel(), ni.shape[1])])
+    order = np.argsort(at, kind="stable")
+    sl, si, w = (np.concatenate(pair)[order] for pair in
+                 ((layer[term], nl.ravel()), (index[term], ni.ravel()), (weight[term], np.full(ni.size, -1.0))))
+    return [(sl, si, at[order], w)], const[ends]
 
 
 def min2_gadget() -> ReluNetwork:
@@ -644,8 +580,9 @@ def min_n_gadget(n: int) -> ReluNetwork:
     if n < 1:
         raise ValueError("minimum of zero values is undefined")
     layers = []
-    out = min_reduce_many(layers, AffineRows.refs(0, n), n)
-    return network_from_blocks(n, [*layers, out.layer()])
+    idx = np.arange(n)
+    out = min_reduce_many(layers, ([(np.zeros(n, dtype=np.int64), idx, idx, np.ones(n))], np.zeros(n)), n)
+    return network_from_blocks(n, [*layers, out])
 
 
 # -- recurrent unfolding ---------------------------------------------------
@@ -694,8 +631,8 @@ def unfold(cell: ReluNetwork, steps: int, feedback: dict) -> ReluNetwork:
     rows = []
     for l, bias in enumerate(cell.biases_by_layer, start=1):
         into = cell._tl == l
-        rows.append(AffineRows.from_terms(cell._ti[into], cell._sl[into], cell._si[into], cell._w[into], bias))
-    relay = rows[-1].take(out_idx)
+        rows.append(_merge(cell._ti[into], cell._sl[into], cell._si[into], cell._w[into], bias))
+    relay = _take(rows[-1:], out_idx)
     # Where cell input i comes from in the current step: neuron (src_layer[i], src_index[i]).
     src_layer = np.zeros(n_in, dtype=np.int64)
     src_index = np.zeros(n_in, dtype=np.int64)
@@ -704,14 +641,15 @@ def unfold(cell: ReluNetwork, steps: int, feedback: dict) -> ReluNetwork:
     relay_of = np.zeros(n_in, dtype=np.int64)
     relay_of[in_idx] = np.arange(len(pairs))
 
-    def step_layer(r: AffineRows, t: int):
-        from_input = r.sl == 0
-        inputs = r.si[from_input]
-        sl = r.sl + t * k
-        si = r.si.copy()
+    def step_layer(pre, t: int):
+        [(sl, si, row, coef)], const = pre
+        from_input = sl == 0
+        inputs = si[from_input]
+        sl = sl + t * k
+        si = si.copy()
         sl[from_input] = src_layer[inputs]
         si[from_input] = src_index[inputs]
-        return [(sl, si, r.row, r.coef)], r.const
+        return [(sl, si, row, coef)], const
 
     layers = []
     for t in range(steps):

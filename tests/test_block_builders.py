@@ -10,11 +10,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_builders as ref
 from dpnets import co_builders, dp_nn
 from dpnets.instance_gen import SplitMix64
-from dpnets.relu_core import AffineRows, ReluNetwork, min2_gadget, min_n_gadget, unfold
+from dpnets.relu_core import ReluNetwork, _merge, min2_gadget, min_n_gadget, unfold
 
 
 def assert_same(new, old):
@@ -22,62 +24,38 @@ def assert_same(new, old):
     assert new.to_json_dict() == old.to_json_dict()
 
 
-def as_affines(rows):
-    """The rows of an AffineRows as reference Affine expressions."""
-    out = []
-    for i in range(rows.n):
-        at = rows.row == i
-        keys = zip(rows.sl[at].tolist(), rows.si[at].tolist())
-        out.append(ref.Affine(dict(zip(keys, rows.coef[at].tolist())), rows.const[i]))
-    return out
+@st.composite
+def term_lists(draw):
+    """Terms (row, sl, si, coef) of a few rows in any row order, sources repeated and cancelling."""
+    n = draw(st.integers(1, 4))
+    coef = st.sampled_from([-1.5, -1.0, -0.5, 0.5, 1.0, 1.5])
+    terms = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 2), st.integers(0, 2), coef), max_size=20))
+    return terms, draw(st.lists(st.sampled_from([-0.25, 0.0, 0.5]), min_size=n, max_size=n))
 
 
-def assert_rows_match(rows, affines):
-    got = as_affines(rows)
-    assert len(got) == len(affines)
-    for g, a in zip(got, affines):
-        assert list(g.terms.items()) == list(a.terms.items())
-        assert g.const == a.const
-
-
-def test_affine_rows_follow_affine_term_order():
-    # Random chains of row operations give the terms, their order and their
-    # coefficients that the same chain of Affine operations gives, including
-    # sources whose coefficients cancel.
-    rng = SplitMix64(11)
-    sources = AffineRows.stack([AffineRows.refs(0, 3), AffineRows.refs(1, 2), AffineRows.constant([0.5])])
-    source_affines = as_affines(sources)
-    for _ in range(60):
-        n = rng.randint(1, 4)
-        idx = [rng.randint(0, sources.n - 1) for _ in range(n)]
-        rows = sources.take(idx)
-        affines = [source_affines[i] for i in idx]
-        for _ in range(rng.randint(1, 6)):
-            op = rng.randint(0, 3)
-            if op == 0:
-                other_idx = [rng.randint(0, sources.n - 1) for _ in range(n)]
-                rows = rows + sources.take(other_idx)
-                affines = [a + source_affines[i] for a, i in zip(affines, other_idx)]
-            elif op == 1:
-                rows = rows - rows.take(np.arange(n)[::-1])
-                affines = [a - b for a, b in zip(affines, affines[::-1])]
-            elif op == 2:
-                s = rng.randint(-4, 4) * 0.5
-                rows = rows.scale(s)
-                affines = [s * a for a in affines]
-            else:
-                c = rng.randint(-4, 4) * 0.25
-                rows = rows.shift(c)
-                affines = [a + c for a in affines]
-            assert_rows_match(rows, affines)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(term_lists())
+def test_merge_follows_affine_term_order(case):
+    # The merged rows hold the terms, their order and their coefficients that
+    # adding up Affine terms in occurrence order gives, cancelled sources included.
+    terms, const = case
+    affines = [ref.Affine({}, c) for c in const]
+    for i, sl, si, c in terms:
+        affines[i] = affines[i] + ref.Affine({(sl, si): c})
+    [(sl, si, row, coef)], got = _merge(*([t[j] for t in terms] for j in range(4)), const)
+    assert (np.diff(row) >= 0).all()
+    for i, a in enumerate(affines):
+        at = row == i
+        assert list(zip(zip(sl[at].tolist(), si[at].tolist()), coef[at].tolist())) == list(a.terms.items())
+        assert got[i] == a.const
 
 
 def test_cancelled_source_keeps_its_place():
-    x, y = AffineRows.refs(0, 1), AffineRows.refs(1, 1)
-    rows = (x - x) + y + x
-    assert list(zip(rows.sl.tolist(), rows.coef.tolist())) == [(0, 1.0), (1, 1.0)]
-    rows = x - x
-    assert rows.coef.tolist() == [0.0]
+    # x - x + y + x: the cancelled x stays first; alone it stays as a zero
+    [(sl, _, _, coef)], _ = _merge([0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [1.0, -1.0, 1.0, 1.0], [0.0])
+    assert list(zip(sl.tolist(), coef.tolist())) == [(0, 1.0), (1, 1.0)]
+    [(_, _, _, coef)], _ = _merge([0, 0], [0, 0], [0, 0], [1.0, -1.0], [0.0])
+    assert coef.tolist() == [0.0]
 
 
 @pytest.mark.parametrize("n", range(1, 17))

@@ -1,18 +1,36 @@
-"""Arc counts of the constrained-path and tour networks, from their layouts.
+"""Arc counts of the co networks, from their layouts.
 
-``_csp_arcs`` and ``_tsp_arcs`` predict a build's arc count with integer
-arithmetic alone.  The builders check the prediction against the arc
-budget before building anything, and against the built count after.
+``_bf_arcs``, ``_apsp_arcs``, ``_csp_arcs`` and ``_tsp_arcs`` predict a
+build's arc count with integer arithmetic alone.  The builders check the
+prediction against the arc budget before building anything, and against
+the built count after.
 """
 
+import os
+import subprocess
+import sys
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpnets import co_builders
-from dpnets.co_builders import _csp_arcs, _tsp_arcs, build_csp_network, build_tsp_network
+from dpnets.co_builders import (
+    WeightedGraph,
+    _apsp_arcs,
+    _bf_arcs,
+    _csp_arcs,
+    _tsp_arcs,
+    build_bellman_ford_cell,
+    build_csp_network,
+    build_min_plus_square_cell,
+    build_tsp_network,
+)
 from dpnets.errors import SizeGuardError
 from dpnets.relu_core import MAX_ARCS
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 @st.composite
@@ -32,6 +50,17 @@ def test_csp_count_matches_build(size):
 @given(st.integers(2, 9))
 def test_tsp_count_matches_build(n):
     assert _tsp_arcs(n) == build_tsp_network(n).net.num_arcs
+
+
+@pytest.mark.parametrize("n", range(2, 20))
+def test_bellman_ford_and_apsp_counts_match_build(n):
+    assert _bf_arcs(n) == build_bellman_ford_cell(WeightedGraph(np.zeros((n, n)))).num_arcs
+    assert _apsp_arcs(n) == build_min_plus_square_cell(n).num_arcs
+
+
+@pytest.mark.parametrize("n, bf, apsp", [(2, 8, 21), (10, 330, 5_145), (300, 355_500, 160_558_205)])
+def test_bellman_ford_and_apsp_counts(n, bf, apsp):
+    assert (_bf_arcs(n), _apsp_arcs(n)) == (bf, apsp)
 
 
 @pytest.mark.parametrize(
@@ -70,6 +99,7 @@ def no_build(monkeypatch):
 
     monkeypatch.setattr(co_builders, "network_from_blocks", refuse)
     monkeypatch.setattr(co_builders, "min_reduce_many", refuse)
+    monkeypatch.setattr(co_builders, "_merge", refuse)
 
 
 @pytest.mark.parametrize("n", [5, 10])
@@ -92,3 +122,37 @@ def test_tsp_refused_above_budget_before_building(no_build):
         build_tsp_network(n)
     with pytest.raises(AssertionError, match="guard let a build start"):
         build_tsp_network(n - 1)
+
+
+@pytest.mark.parametrize("count, first", [(_bf_arcs, 1452), (_apsp_arcs, 113)])
+def test_first_size_over_budget(count, first):
+    assert count(first - 1) <= MAX_ARCS < count(first)
+
+
+def test_bellman_ford_refused_above_budget_before_building(no_build):
+    with pytest.raises(SizeGuardError):
+        build_bellman_ford_cell(WeightedGraph(np.zeros((1452, 1452))))
+    with pytest.raises(AssertionError, match="guard let a build start"):
+        build_bellman_ford_cell(WeightedGraph(np.zeros((100, 100))))
+
+
+def test_apsp_refused_above_budget_before_building(no_build):
+    with pytest.raises(SizeGuardError):
+        build_min_plus_square_cell(113)
+    with pytest.raises(AssertionError, match="guard let a build start"):
+        build_min_plus_square_cell(60)
+
+
+def test_cli_refuses_apsp_above_budget():
+    # A child process capped at 1 GB of address space: were the guard gone, the
+    # 160M-arc build would fail its first large allocation instead of taking
+    # the machine's memory.
+    limit = 2**30
+    code = (f"import resource, sys; resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
+            "from dpnets.cli import main; sys.exit(main(['build', 'apsp', '--n', '300']))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 1
+    assert run.stdout == ""
+    assert run.stderr.startswith("error: ") and str(MAX_ARCS) in run.stderr

@@ -1,0 +1,26 @@
+"""The package's public names: every module's ``__all__`` and what ``dpnets`` re-exports."""
+
+import ast
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import dpnets
+
+MODULES = [info.name for info in pkgutil.iter_modules(dpnets.__path__)]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(f"dpnets.{name}")
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_package_imports_only_exported_names():
+    imports = [node for node in ast.parse(inspect.getsource(dpnets)).body if isinstance(node, ast.ImportFrom)]
+    assert {node.module for node in imports} <= set(MODULES)
+    for node in imports:
+        exported = importlib.import_module(f"dpnets.{node.module}").__all__
+        assert [a.name for a in node.names if a.name not in exported] == [], node.module
