@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import co_builders, dp_nn, fptas_nn, instance_gen, verify
 from .errors import NetworkError
-from .knapsack_oracles import KnapsackInstance, brute_force
+from .knapsack_oracles import BRUTE_FORCE_MAX_ITEMS, KnapsackInstance, brute_force
 
 __all__ = ["entry_point", "main"]
 
@@ -116,7 +116,7 @@ def cmd_solve_fptas(args) -> int:
         report["epsilon"] = str(eps)
         report["guarantee"] = float(1 - eps)
     code = 0
-    if args.verify and inst.n <= 25:
+    if args.verify:
         best = brute_force(inst)
         ratio = sol.value / best.value
         report["oracle_value"] = int(best.value)
@@ -196,8 +196,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.max_items > 25:
-        raise SystemExit("error: --max-items above 25 would defeat the oracle")
+    if args.max_items > BRUTE_FORCE_MAX_ITEMS:
+        raise SystemExit(f"error: --max-items above {BRUTE_FORCE_MAX_ITEMS} would defeat the oracle")
     epsilons = [Fraction(e) for e in args.epsilons.split(",")]
     lines = ["seed,epsilon,P,width,p_nn,p_opt,ratio"]
     violations = 0

@@ -29,15 +29,19 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import ConstructionError, SizeGuardError
+from .errors import SizeGuardError
 from .knapsack_oracles import integer_value, json_fields, json_list, number_value
 from .relu_core import (
     MAX_ARCS,
     ReluNetwork,
+    _checked,
     _merge,
+    _min_arcs,
     _min_tree,
     _rounds,
     _take,
+    _tree_arcs,
+    _tree_neurons,
     check_arc_budget,
     min_reduce_many,
     network_from_blocks,
@@ -46,6 +50,7 @@ from .relu_core import (
 __all__ = [
     "CspNetwork",
     "IntSequencePair",
+    "ORACLE_MAX_VERTICES",
     "TspNetwork",
     "WeightedGraph",
     "bellman_ford_distances",
@@ -67,6 +72,9 @@ __all__ = [
 ]
 
 RESOURCE_TOL = 1e-9
+
+# Most vertices the enumerating oracles accept: (n - 1)! tours, about e (n - 1)! paths.
+ORACLE_MAX_VERTICES = 10
 
 
 # -- domain types ------------------------------------------------------------
@@ -347,8 +355,11 @@ def enumerate_csp_lengths(graph: WeightedGraph, limit, tol: float = RESOURCE_TOL
 
     Cycles never help (lengths >= 1, resources >= 0), so simple paths
     suffice.  Returns {vertex: int length or None}; the source maps to 0.
+    Guarded at n <= ORACLE_MAX_VERTICES.
     """
     n, s = graph.n, graph.source
+    if n > ORACLE_MAX_VERTICES:
+        raise SizeGuardError(f"simple-path enumeration refuses n = {n} > {ORACLE_MAX_VERTICES}")
     if graph.resources is None:
         raise ValueError("graph has no resource matrix")
     c, r = graph.lengths, graph.resources
@@ -405,8 +416,7 @@ class CspNetwork:
 
 def _offdiag(matrix) -> np.ndarray:
     m = np.asarray(matrix, dtype=np.float64)
-    n = m.shape[0]
-    return np.array([m[u, v] for u in range(n) for v in range(n) if u != v])
+    return m[~np.eye(m.shape[0], dtype=bool)]
 
 
 def _listings(m: int, row: int) -> int:
@@ -416,28 +426,11 @@ def _listings(m: int, row: int) -> int:
                if (j := row >> (r - 1)) < 2 * pairs and row == min((j + 1) << (r - 1), m) - 1)
 
 
-def _tree_neurons(r: int, lb: int) -> int:
-    """Earlier neurons in the hidden row of a round-r pair whose right operand
-    ends at row lb: r - 1 of the left operand, one per set low bit of lb."""
-    return r - 1 + (lb & ((1 << (r - 1)) - 1)).bit_count()
-
-
-def _tree_arcs(m: int) -> int:
-    """N(m): arcs from earlier tree neurons into the hidden rows of one minimum tree over m rows."""
-    # every pair but a round's last has an uncut right operand
-    return sum(2 * (pairs - 1) * (r - 1) + _tree_neurons(r, min(2 * pairs << (r - 1), m) - 1)
-               for r, pairs in _rounds(m))
-
-
 def _bf_arcs(n: int) -> int:
-    """Arc count of ``build_bellman_ford_cell`` on n vertices, from its layout.
-
-    Each of the n targets has a minimum tree over n rows of one input
-    each: two inputs into each of its n - 1 hidden rows, N(n) neuron
-    arcs, and an output with one input and popcount(n - 1) neurons.
-    """
+    """Arc count of ``build_bellman_ford_cell`` on n vertices, from its layout:
+    for each of the n targets, a minimum tree over n rows of one input each."""
     n = operator.index(n)
-    return n * (2 * (n - 1) + _tree_arcs(n) + 1 + (n - 1).bit_count())
+    return n * _min_arcs(n)
 
 
 def _apsp_arcs(n: int) -> int:
@@ -451,13 +444,6 @@ def _apsp_arcs(n: int) -> int:
     """
     n = operator.index(n)
     return n * n * (4 * (n - 1) + _tree_arcs(n) + 2 + (n - 1).bit_count()) - 6 * (n - 1) - 1
-
-
-def _checked(net: ReluNetwork, num_arcs: int) -> ReluNetwork:
-    """`net`, after checking that it has the `num_arcs` arcs its closed form counts."""
-    if net.num_arcs != num_arcs:
-        raise ConstructionError(f"built {net.num_arcs} arcs, closed form says {num_arcs}")
-    return net
 
 
 def _csp_arcs(n: int, c_star: int, source: int) -> int:
@@ -645,8 +631,8 @@ def tsp_brute_force(dist) -> float:
     """Shortest directed round trip by enumerating all (n-1)! permutations."""
     d = np.asarray(dist, dtype=np.float64)
     n = d.shape[0]
-    if n > 10:
-        raise SizeGuardError(f"permutation enumeration refuses n = {n} > 10")
+    if n > ORACLE_MAX_VERTICES:
+        raise SizeGuardError(f"permutation enumeration refuses n = {n} > {ORACLE_MAX_VERTICES}")
     best = math.inf
     for order in permutations(range(1, n)):
         length = d[0, order[0]]

@@ -17,9 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConstructionError
 from .knapsack_oracles import DpTable, KnapsackInstance, Solution, backtrack, optimum_value
-from .relu_core import ReluNetwork, check_arc_budget, network_from_blocks, unfold
+from .relu_core import ReluNetwork, _checked, check_arc_budget, network_from_blocks, unfold
 
 __all__ = [
     "DpCell",
@@ -117,10 +116,7 @@ def build_dp_cell(p_star: int) -> DpCell:
         ([(0, rows, rows, 1.0), (0, s_in, rows, -1.0), (2, sel, sel_p - 1, -1.0)], np.zeros(p_star)),
         ([(0, rows, rows, 1.0), (3, rows, rows, -1.0)], np.zeros(p_star)),
     ]
-    net = network_from_blocks(p_star + 2, layers)
-    if net.num_arcs != num_arcs:
-        raise ConstructionError(f"built {net.num_arcs} arcs, closed form says {num_arcs}")
-    return DpCell(net, p_star)
+    return DpCell(_checked(network_from_blocks(p_star + 2, layers), num_arcs), p_star)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from math import ceil
 
 import numpy as np
 
-from .errors import ConstructionError, InfeasibleTargetError
+from .errors import InfeasibleTargetError
 from .knapsack_oracles import (
     CAPACITY_TOL,
     FptasTable,
@@ -43,7 +43,7 @@ from .knapsack_oracles import (
     coarse_index_with_item,
     exact_profit_budget,
 )
-from .relu_core import ReluNetwork, check_arc_budget, network_from_blocks
+from .relu_core import ReluNetwork, _checked, check_arc_budget, network_from_blocks
 
 __all__ = [
     "FptasCell",
@@ -201,10 +201,7 @@ def build_fptas_cell(resolution: int) -> FptasCell:
         ([(3, skip_keep, up_p - 1, -1.0), (4, rows, rows, -1.0), (0, [total_in, p_in], P, 1.0)],
          np.append(np.full(P, 2.0), 0.0)),
     ]
-    net = network_from_blocks(P + 3, layers)
-    if net.num_arcs != num_arcs:
-        raise ConstructionError(f"built {net.num_arcs} arcs, closed form says {num_arcs}")
-    return FptasCell(net, P, exact_profit_budget(P))
+    return FptasCell(_checked(network_from_blocks(P + 3, layers), num_arcs), P, exact_profit_budget(P))
 
 
 @dataclass(frozen=True)

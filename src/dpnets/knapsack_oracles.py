@@ -17,6 +17,7 @@ import numpy as np
 from .errors import InfeasibleTargetError, NumericOverflowError, SizeGuardError
 
 __all__ = [
+    "BRUTE_FORCE_MAX_ITEMS",
     "CAPACITY_TOL",
     "DpTable",
     "FptasTable",
@@ -43,6 +44,8 @@ __all__ = [
 # doubles and a table entry accumulates at most n additions, each exact
 # to an ulp; 1e-9 is orders of magnitude above that.
 CAPACITY_TOL = 1e-9
+
+BRUTE_FORCE_MAX_ITEMS = 25  # 2**25 subsets
 
 # Profits this large would break the exactness of the integer-valued
 # pre-activations inside the constructed networks.
@@ -242,20 +245,16 @@ def brute_force(inst: KnapsackInstance) -> Solution:
     """Enumerate all subsets; return the max-profit one of size <= 1.
 
     Ties are broken toward the lexicographically smallest index set.
-    Guarded at n <= 25 (the enumeration is exponential).
+    Guarded at n <= BRUTE_FORCE_MAX_ITEMS (the enumeration is exponential).
     """
     n = inst.n
-    if n > 25:
-        raise SizeGuardError(f"brute force refuses n = {n} > 25")
+    if n > BRUTE_FORCE_MAX_ITEMS:
+        raise SizeGuardError(f"brute force refuses n = {n} > {BRUTE_FORCE_MAX_ITEMS}")
     prof, size = subset_profiles(inst.profits, inst.sizes)
     feasible = size <= 1.0 + CAPACITY_TOL
     best_profit = int(prof[feasible].max())
     candidates = np.flatnonzero(feasible & (prof == best_profit))
-    best_items = None
-    for mask in candidates.tolist():
-        items = tuple(i for i in range(n) if mask >> i & 1)
-        if best_items is None or items < best_items:
-            best_items = items
+    best_items = min(tuple(i for i in range(n) if mask >> i & 1) for mask in candidates.tolist())
     total = float(sum(inst.sizes[i] for i in best_items))
     return Solution(best_profit, best_items, total)
 

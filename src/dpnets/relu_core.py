@@ -19,8 +19,7 @@ from functools import cached_property
 from itertools import accumulate, chain
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
+from scipy.sparse._sparsetools import csr_matvec, csr_matvecs, csr_sort_indices, csr_sum_duplicates
 
 from .errors import ConstructionError, NumericOverflowError, ShapeMismatchError, SizeGuardError
 
@@ -36,11 +35,12 @@ __all__ = [
     "unfold",
 ]
 
-# Arc budget of the knapsack cells and of unfolding.  Building a knapsack
+# Arc budget of every network, and its bound on neurons.  Building a knapsack
 # cell and evaluating it once peaks at about 90 bytes per arc (the 8.4M
 # arcs at p* = 2047 took 716 MB).  Unfolding peaks at about 95 bytes per
 # arc over the imported package (unfold_dp(30, 520), 1.0M arcs: 0.27 s,
-# 145 MB against 50 MB after import), about 0.8 GB at the budget.
+# 145 MB against 50 MB after import), about 0.8 GB at the budget.  Below
+# it every CSR index fits in int32.
 MAX_ARCS = 2**23
 
 
@@ -51,6 +51,19 @@ def check_arc_budget(num_arcs: int, what: str) -> None:
     """
     if num_arcs > MAX_ARCS:
         raise SizeGuardError(f"{what} would have more than the budget of {MAX_ARCS} arcs ({num_arcs} counted)")
+
+
+def _checked(net: ReluNetwork, num_arcs: int) -> ReluNetwork:
+    """`net`, after checking that it has the `num_arcs` arcs its closed form counts."""
+    if net.num_arcs != num_arcs:
+        raise ConstructionError(f"built {net.num_arcs} arcs, closed form says {num_arcs}")
+    return net
+
+
+def _check_size(sizes: tuple, num_arcs: int) -> None:
+    """Refuse a network of more than MAX_ARCS neurons or arcs (no construction has more neurons than arcs)."""
+    neurons = sum(sizes)
+    check_arc_budget(max(neurons, num_arcs), f"a network of {neurons} neurons and {num_arcs} arcs")
 
 
 @dataclass(frozen=True)
@@ -66,21 +79,19 @@ class NetworkStats:
 class ReluNetwork:
     """Immutable sparse-arc representation of a layered ReLU network.
 
-    Arcs are stored as flat arrays (constructions here are sparse
-    relative to dense layers).  On first use the evaluator compiles each
-    layer's arcs straight into the raw arrays of a CSR matrix over the
-    concatenated outputs of all earlier layers (see :attr:`_compiled`).
-    Every evaluation then runs one loop over the layers, calling scipy's
-    compiled CSR kernels (the private
-    ``scipy.sparse._sparsetools.csr_matvec``, and ``csr_matvecs`` for
-    :meth:`evaluate_batch`) straight into one output buffer per call.
-    No buffer is kept between calls, so one network can be evaluated
-    from several threads at once.  All arithmetic is IEEE double
-    precision.  The hard-coded constructions
-    in this package only ever combine small integers, halves and
-    input-derived values, so their evaluation is exact whenever every
-    intermediate integer-valued pre-activation stays below 2**53; the
-    individual builders validate their own magnitude bounds.
+    Arcs are stored as flat arrays; a network of more than ``MAX_ARCS``
+    neurons or arcs is refused with :class:`SizeGuardError`.  On first use
+    the evaluator compiles each layer's arcs into the raw int32 arrays of
+    a CSR matrix over the concatenated outputs of all earlier layers (see
+    :attr:`_compiled`).  Every evaluation then runs one loop over the
+    layers through scipy's private ``scipy.sparse._sparsetools`` kernels
+    (``csr_matvec``, and ``csr_matvecs`` for :meth:`evaluate_batch`) into
+    one output buffer per call, so one network can be evaluated from
+    several threads at once.  All arithmetic is IEEE double precision.
+    The constructions in this package only combine small integers, halves
+    and input-derived values, so they evaluate exactly while every
+    integer-valued pre-activation stays below 2**53; each builder
+    validates its own magnitude bounds.
     """
 
     def __init__(self, layer_sizes, arcs, biases=()):
@@ -100,10 +111,14 @@ class ReluNetwork:
             carry no bias.
 
         Anything else (a string, a row of another length, a negative or
-        fractional size or index) raises :class:`ConstructionError`.
+        fractional size or index) raises :class:`ConstructionError`, and
+        more than ``MAX_ARCS`` neurons or arcs raise
+        :class:`SizeGuardError` before anything sized by the layers is
+        allocated.
         """
         sizes = tuple(_whole(_numbers(layer_sizes, (), "layer sizes must be a list of numbers")).tolist())
         arcs = _numbers(arcs, (5,), "each arc must be 5 numbers").T
+        _check_size(sizes, arcs.shape[1])
         sl, si, tl, ti = _whole(arcs[:4])
         biases = _numbers(biases, (3,), "each bias must be 3 numbers").T
         layer, idx = _whole(biases[:2])
@@ -122,37 +137,31 @@ class ReluNetwork:
 
     @classmethod
     def _from_arrays(cls, layer_sizes, sl, si, tl, ti, w, bias_arrays):
+        sizes = tuple(layer_sizes)
+        _check_size(sizes, w.size)
         net = cls.__new__(cls)
-        net._init_from_arrays(tuple(layer_sizes), sl, si, tl, ti, w, bias_arrays)
+        net._init_from_arrays(sizes, sl, si, tl, ti, w, bias_arrays)
         return net
 
     def _init_from_arrays(self, sizes, sl, si, tl, ti, w, bias_arrays):
         if len(sizes) < 2:
             raise ConstructionError("a network needs an input and an output layer")
-        if any(s < 0 for s in sizes):
-            raise ConstructionError("negative layer size")
         if sizes[0] < 1 or sizes[-1] < 1:
             raise ConstructionError("input and output layers must be non-empty")
-        k = len(sizes) - 1
         sz = np.asarray(sizes, dtype=np.int64)
-        if sl.size:
-            if (sl >= tl).any():
-                raise ConstructionError("arcs must strictly increase the layer index")
-            if (sl < 0).any() or (tl > k).any():
-                raise ConstructionError("arc layer out of range")
-            if (si < 0).any() or (si >= sz[sl]).any() or (ti < 0).any() or (ti >= sz[tl]).any():
-                raise ConstructionError("arc endpoint references a nonexistent neuron")
+        if (sl >= tl).any():
+            raise ConstructionError("arcs must strictly increase the layer index")
+        if (sl < 0).any() or (tl >= sz.size).any():
+            raise ConstructionError("arc layer out of range")
+        if (si < 0).any() or (si >= sz[sl]).any() or (ti < 0).any() or (ti >= sz[tl]).any():
+            raise ConstructionError("arc endpoint references a nonexistent neuron")
         if not np.all(np.isfinite(w)):
             raise ConstructionError("arc weights must be finite")
-        if len(bias_arrays) != k:
-            raise ConstructionError("need one bias array per non-input layer")
-        for l, b in enumerate(bias_arrays, start=1):
-            if b.shape != (sizes[l],):
-                raise ConstructionError("bias array shape mismatch")
-            if not np.all(np.isfinite(b)):
-                raise ConstructionError("biases must be finite")
-            b.setflags(write=False)
-        for arr in (sl, si, tl, ti, w):
+        if [b.shape for b in bias_arrays] != [(s,) for s in sizes[1:]]:
+            raise ConstructionError("need one bias array per non-input layer, of the layer's size")
+        if not all(np.isfinite(b).all() for b in bias_arrays):
+            raise ConstructionError("biases must be finite")
+        for arr in (sl, si, tl, ti, w, *bias_arrays):
             arr.setflags(write=False)
         self.layer_sizes = sizes
         self._sl, self._si, self._tl, self._ti, self._w = sl, si, tl, ti, w
@@ -191,15 +200,7 @@ class ReluNetwork:
     @property
     def arcs(self):
         """Arcs as a list of (src_layer, src_index, dst_layer, dst_index, weight)."""
-        return list(
-            zip(
-                self._sl.tolist(),
-                self._si.tolist(),
-                self._tl.tolist(),
-                self._ti.tolist(),
-                self._w.tolist(),
-            )
-        )
+        return list(zip(*(a.tolist() for a in (self._sl, self._si, self._tl, self._ti, self._w))))
 
     @property
     def biases_by_layer(self):
@@ -208,15 +209,8 @@ class ReluNetwork:
     def __eq__(self, other):
         if not isinstance(other, ReluNetwork):
             return NotImplemented
-        return (
-            self.layer_sizes == other.layer_sizes
-            and np.array_equal(self._sl, other._sl)
-            and np.array_equal(self._si, other._si)
-            and np.array_equal(self._tl, other._tl)
-            and np.array_equal(self._ti, other._ti)
-            and np.array_equal(self._w, other._w)
-            and all(np.array_equal(a, b) for a, b in zip(self._bias_arrays, other._bias_arrays))
-        )
+        mine, theirs = ((n._sl, n._si, n._tl, n._ti, n._w, *n._bias_arrays) for n in (self, other))
+        return self.layer_sizes == other.layer_sizes and all(map(np.array_equal, mine, theirs))
 
     def __repr__(self):
         return f"ReluNetwork(layers={self.layer_sizes}, arcs={self.num_arcs})"
@@ -234,12 +228,15 @@ class ReluNetwork:
         CSR matrix over the concatenated outputs of layers < l.
 
         The arrays are exactly those ``scipy.sparse.csr_matrix`` builds
-        from the arcs as COO, dtypes included (int32 indices unless the
-        layer needs int64).  Built arcs come grouped by neuron, so rows are
+        from the arcs as COO, dtypes included: the size guard keeps every
+        index within int32.  Built arcs come grouped by neuron, so rows are
         sorted only for shuffled documents, and a layer whose rows list
         their columns strictly increasing is used as stored.  Any other
-        layer goes through scipy's own sort-and-sum, so that a repeated
-        (neuron, source) pair is summed in scipy's order.
+        layer runs, on a copy of its weights, the kernels behind scipy's
+        ``sum_duplicates``: ``csr_sort_indices`` if a row lists a column
+        out of order, then ``csr_sum_duplicates``, which sums a repeated
+        (neuron, source) pair in scipy's order, then a trim to the summed
+        length.
         """
         off = self._bounds
         start = np.asarray(off)
@@ -249,7 +246,7 @@ class ReluNetwork:
         if (row[1:] < row[:-1]).any():
             order = np.argsort(row, kind="stable")
             row, col, w = row[order], col[order], w[order]
-        ptr = np.zeros(off[-1] - off[1] + 1, dtype=np.int64)
+        ptr = np.zeros(off[-1] - off[1] + 1, dtype=np.int32)
         np.cumsum(np.bincount(row, minlength=ptr.size - 1), out=ptr[1:])
         # arc i + 1 repeats or undercuts the column of arc i in the same row
         unsorted = (row[1:] == row[:-1]) & (col[1:] <= col[:-1])
@@ -257,12 +254,13 @@ class ReluNetwork:
         for l in range(1, len(off) - 1):
             r0, r1 = off[l] - off[1], off[l + 1] - off[1]
             n_row, n_col, a, b = r1 - r0, off[l], ptr[r0], ptr[r1]
-            idx = np.int32 if max(n_row, n_col, b - a) <= np.iinfo(np.int32).max else np.int64
-            indptr, indices, data = (ptr[r0 : r1 + 1] - a).astype(idx), col[a:b].astype(idx), w[a:b]
+            indptr, indices, data = ptr[r0 : r1 + 1] - a, col[a:b].astype(np.int32), w[a:b]
             if unsorted[a:b].any():
-                mat = sparse.csr_matrix((data.copy(), indices, indptr), shape=(n_row, n_col))
-                mat.sum_duplicates()
-                indptr, indices, data = mat.indptr, mat.indices, mat.data
+                data = data.copy()
+                if (unsorted[a:b] & (np.diff(col[a : b + 1]) != 0)).any():
+                    csr_sort_indices(n_row, indptr, indices, data)
+                csr_sum_duplicates(n_row, n_col, indptr, indices, data)
+                indices, data = indices[: indptr[-1]], data[: indptr[-1]]
             compiled.append((n_row, n_col, indptr, indices, data))
         return compiled
 
@@ -486,6 +484,26 @@ def _min_tree(m: int):
             yield r, ((2 * i + 1) << (r - 1)) - 1, min((2 * i + 2) << (r - 1), m) - 1
 
 
+def _tree_neurons(r: int, lb: int) -> int:
+    """Earlier neurons in the hidden row of a round-r pair whose right operand
+    ends at row lb: r - 1 of the left operand, one per set low bit of lb."""
+    return r - 1 + (lb & ((1 << (r - 1)) - 1)).bit_count()
+
+
+def _tree_arcs(m: int) -> int:
+    """N(m): arcs from earlier tree neurons into the hidden rows of one minimum tree over m rows."""
+    # every pair but a round's last has an uncut right operand
+    return sum(2 * (pairs - 1) * (r - 1) + _tree_neurons(r, min(2 * pairs << (r - 1), m) - 1)
+               for r, pairs in _rounds(m))
+
+
+def _min_arcs(m: int) -> int:
+    """Arc count of ``min_n_gadget(m)``, a minimum tree over m rows of one input
+    each: two inputs into each of its m - 1 hidden rows, N(m) neuron arcs, and
+    an output with one input and popcount(m - 1) neurons."""
+    return 2 * (m - 1) + _tree_arcs(m) + 1 + (m - 1).bit_count()
+
+
 def min_reduce_many(layers: list, rows, m: int):
     """Reduce each run of m consecutive rows of a one-block layer to its minimum, in lockstep.
 
@@ -575,14 +593,18 @@ def min_n_gadget(n: int) -> ReluNetwork:
 
     Adjacent affine maps are fused, so the hidden-layer count is
     ceil(log2(n)) and the total hidden size is n - 1.  n = 1 yields the
-    identity network (depth 1).
+    identity network (depth 1).  The network has ``_min_arcs(n)`` arcs,
+    about 3 n; an n whose count exceeds ``MAX_ARCS`` (from about 2.1M) is
+    refused before anything is built.
     """
     if n < 1:
         raise ValueError("minimum of zero values is undefined")
+    num_arcs = _min_arcs(n)
+    check_arc_budget(num_arcs, f"the minimum of {n} values")
     layers = []
     idx = np.arange(n)
     out = min_reduce_many(layers, ([(np.zeros(n, dtype=np.int64), idx, idx, np.ones(n))], np.zeros(n)), n)
-    return network_from_blocks(n, [*layers, out])
+    return _checked(network_from_blocks(n, [*layers, out]), num_arcs)
 
 
 # -- recurrent unfolding ---------------------------------------------------

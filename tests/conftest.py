@@ -1,6 +1,14 @@
-"""Shared test helpers: deterministic instance streams."""
+"""Shared test helpers: deterministic instance streams, and the CLI in a capped child."""
+
+import os
+import subprocess
+import sys
+
+import pytest
 
 from dpnets.verify import capped_instance
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def instance_stream(base_seed, count, p_star_lo, p_star_hi, max_items):
@@ -10,3 +18,21 @@ def instance_stream(base_seed, count, p_star_lo, p_star_hi, max_items):
         capped_instance(base_seed + k, p_star_lo + k % span, max_items)
         for k in range(count)
     ]
+
+
+@pytest.fixture
+def capped_cli():
+    """Run the CLI on a list of arguments in a child process capped at 1 GB of
+    address space; return the completed process.  Were a size guard gone, an
+    oversized build would fail its first large allocation instead of taking
+    the machine's memory."""
+
+    def run(args):
+        limit = 2**30
+        code = (f"import resource, sys; resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
+                f"from dpnets.cli import main; sys.exit(main({list(args)!r}))")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+
+    return run

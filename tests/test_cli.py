@@ -96,10 +96,10 @@ def test_build_fptas_depth(capsys):
     assert out.strip().startswith("depth=5")
 
 
-def test_build_tsp_guard(capsys):
-    code, _, err = run_cli(["build", "tsp", "--n", "20"], capsys)
-    assert code == 1
-    assert str(MAX_ARCS) in err
+def test_build_tsp_guard(capped_cli):
+    run = capped_cli(["build", "tsp", "--n", "20"])
+    assert run.returncode == 1
+    assert str(MAX_ARCS) in run.stderr
 
 
 def test_gen_deterministic_and_valid(capsys):
@@ -137,6 +137,15 @@ def test_bench_csv_shape(capsys, tmp_path):
         eps_num, eps_den = (cols[1].split("/") + ["1"])[:2]
         bound = 1.0 - float(eps_num) / float(eps_den)
         assert float(cols[6]) >= bound - 1e-12
+
+
+@pytest.mark.parametrize("command", [["solve-exact"], ["solve-fptas", "--capital-p", "2"]])
+def test_verify_refuses_instances_past_brute_force(command, tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"profits": [1] * 26, "sizes": [0.5] * 26}))
+    code, out, err = run_cli([*command, "--instance", str(path), "--verify"], capsys)
+    assert code == 1 and not out
+    assert err == "error: brute force refuses n = 26 > 25\n"
 
 
 def test_bench_guard(capsys):

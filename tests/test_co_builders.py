@@ -258,6 +258,15 @@ def test_tsp_size_guard():
         run_tsp(np.zeros((20, 20)))
 
 
+def test_enumerating_oracles_refuse_eleven_vertices():
+    # zero resources would leave about e * 10! simple paths to walk
+    g = WeightedGraph(1 - np.eye(11), np.zeros((11, 11)))
+    with pytest.raises(SizeGuardError, match="n = 11 > 10"):
+        enumerate_csp_lengths(g, 0.0)
+    with pytest.raises(SizeGuardError, match="n = 11 > 10"):
+        tsp_brute_force(g.lengths)
+
+
 def test_graph_validation():
     with pytest.raises(ValueError):
         WeightedGraph([[0, 1], [1, 0]], source=5)

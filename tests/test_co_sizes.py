@@ -6,10 +6,6 @@ prediction against the arc budget before building anything, and against
 the built count after.
 """
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,8 +25,6 @@ from dpnets.co_builders import (
 )
 from dpnets.errors import SizeGuardError
 from dpnets.relu_core import MAX_ARCS
-
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 @st.composite
@@ -143,16 +137,9 @@ def test_apsp_refused_above_budget_before_building(no_build):
         build_min_plus_square_cell(60)
 
 
-def test_cli_refuses_apsp_above_budget():
-    # A child process capped at 1 GB of address space: were the guard gone, the
-    # 160M-arc build would fail its first large allocation instead of taking
-    # the machine's memory.
-    limit = 2**30
-    code = (f"import resource, sys; resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
-            "from dpnets.cli import main; sys.exit(main(['build', 'apsp', '--n', '300']))")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+def test_cli_refuses_apsp_above_budget(capped_cli):
+    # the 160M-arc build, were the guard gone
+    run = capped_cli(["build", "apsp", "--n", "300"])
     assert run.returncode == 1
     assert run.stdout == ""
     assert run.stderr.startswith("error: ") and str(MAX_ARCS) in run.stderr

@@ -19,9 +19,9 @@ from hypothesis import given, settings
 import reference_builders as ref
 from test_serialization import layered_networks
 from dpnets import co_builders, dp_nn, fptas_nn
-from dpnets.errors import NumericOverflowError, ShapeMismatchError
+from dpnets.errors import NumericOverflowError, ShapeMismatchError, SizeGuardError
 from dpnets.instance_gen import SplitMix64, gen_graph
-from dpnets.relu_core import ReluNetwork, min2_gadget, min_n_gadget
+from dpnets.relu_core import MAX_ARCS, ReluNetwork, min2_gadget, min_n_gadget
 from dpnets.verify import grid_values
 
 
@@ -159,6 +159,16 @@ def test_descending_row(repeats, at):
     assert_engine_matches(net, grid_inputs(net, at))
 
 
+def test_ascending_row_with_repeats():
+    # the row in column order, four rounds of repeats after the arc from input 5:
+    # scipy sorts only a row that lists a column out of order, so it sums these
+    # in the listed order (its unstable sort would give 14)
+    arcs = [(0, si, 1, 0, float(si + 1)) for si in range(24)]
+    net = ReluNetwork([24, 1], arcs[:6] + [(0, 5, 1, 0, w) for w in 4 * REPEATS] + arcs[6:])
+    assert net._compiled[0][4][5] == 9.0
+    assert_engine_matches(net, grid_inputs(net, 6))
+
+
 def test_empty_selector_layer():
     net = dp_nn.build_dp_cell(1).net
     n_row, n_col, indptr, indices, data = net._compiled[1]
@@ -169,12 +179,10 @@ def test_empty_selector_layer():
 @pytest.mark.parametrize(
     "arcs", [[], [(0, 2**31 - 1, 1, 0, 1.0), (0, 3, 1, 0, 2.0), (0, 3, 1, 0, 0.5)]], ids=["no-arcs", "repeated-pair"]
 )
-def test_int64_indices_past_int32_columns(arcs):
-    # compiled only: one evaluation would allocate 2**31 inputs
-    net = ReluNetwork([2**31, 1], arcs)
-    assert_compiled_like_scipy(net)
-    for array in net._compiled[0][2:4]:
-        assert array.dtype == np.int64
+def test_int32_columns_past_budget_refused(arcs):
+    # the size guard keeps every compiled index within int32
+    with pytest.raises(SizeGuardError, match=str(MAX_ARCS)):
+        ReluNetwork([2**31, 1], arcs)
 
 
 # -- batches ------------------------------------------------------------------

@@ -10,10 +10,12 @@ from dpnets.errors import (
     ShapeMismatchError,
     SizeGuardError,
 )
+from dpnets import relu_core
 from dpnets.instance_gen import SplitMix64
 from dpnets.relu_core import (
     MAX_ARCS,
     ReluNetwork,
+    _min_arcs,
     min2_gadget,
     min_n_gadget,
     unfold,
@@ -84,6 +86,24 @@ def test_min_n_against_scan():
 def test_min_n_rejects_empty():
     with pytest.raises(ValueError):
         min_n_gadget(0)
+
+
+def test_min_n_count_matches_build():
+    assert [min_n_gadget(n).num_arcs for n in range(1, 70)] == [_min_arcs(n) for n in range(1, 70)]
+
+
+def test_min_n_refused_above_budget_before_building(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the size guard let a build start")
+
+    monkeypatch.setattr(relu_core, "network_from_blocks", refuse)
+    monkeypatch.setattr(relu_core, "min_reduce_many", refuse)
+    first = 2_097_159
+    assert _min_arcs(first - 1) <= MAX_ARCS < _min_arcs(first)
+    with pytest.raises(SizeGuardError):
+        min_n_gadget(first)
+    with pytest.raises(AssertionError, match="guard let a build start"):
+        min_n_gadget(1000)
 
 
 def test_positive_homogeneity():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -15,10 +16,11 @@ from dpnets.co_builders import (
     build_tsp_network,
 )
 from dpnets.dp_nn import build_dp_cell, unfold_dp
-from dpnets.errors import ConstructionError
+from dpnets import relu_core
+from dpnets.errors import ConstructionError, SizeGuardError
 from dpnets.fptas_nn import build_fptas_cell
 from dpnets.instance_gen import gen_graph
-from dpnets.relu_core import ReluNetwork
+from dpnets.relu_core import MAX_ARCS, ReluNetwork, network_from_blocks
 
 
 def json_text(net):
@@ -115,3 +117,26 @@ ARC = [0, 0, 1, 0, 1.0]
 def test_malformed_document_is_refused(doc):
     with pytest.raises(ConstructionError):
         ReluNetwork.from_json_dict(doc)
+
+
+def test_document_past_the_neuron_budget_is_refused_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError, match=str(MAX_ARCS)):
+            ReluNetwork.from_json_dict({"layers": [1, MAX_ARCS + 1], "arcs": []})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_networks_past_the_budget_are_refused(monkeypatch):
+    monkeypatch.setattr(relu_core, "MAX_ARCS", 4)
+    arcs = [[0, 0, 1, 0, 1.0], [0, 1, 1, 0, 1.0], [0, 0, 1, 1, 1.0], [0, 1, 1, 1, 1.0], [0, 0, 1, 0, 2.0]]
+    assert ReluNetwork.from_json_dict({"layers": [2, 2], "arcs": arcs[:4]}).num_arcs == 4
+    for doc in ({"layers": [2, 2], "arcs": arcs}, {"layers": [2, 3], "arcs": []}):
+        with pytest.raises(SizeGuardError):
+            ReluNetwork.from_json_dict(doc)
+    assert network_from_blocks(2, [([(0, [0, 1], [0, 1], 1.0)], [0.0, 0.0])]).num_arcs == 2
+    with pytest.raises(SizeGuardError):
+        network_from_blocks(2, [([(0, [0, 1, 0, 1, 0], [0, 0, 1, 1, 0], 1.0)], [0.0, 0.0])])
