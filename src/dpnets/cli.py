@@ -65,6 +65,7 @@ def _write_text(text: str, out: str | None):
 
 def cmd_solve_exact(args) -> int:
     inst = _load_instance(args.instance)
+    best = brute_force(inst) if args.verify else None  # refuses a large instance before the solve
     start = time.perf_counter()
     p_star = args.p_star if args.p_star is not None else inst.total_profit
     sol = dp_nn.solve_exact(inst, p_star)
@@ -82,7 +83,6 @@ def cmd_solve_exact(args) -> int:
     }
     code = 0
     if args.verify:
-        best = brute_force(inst)
         report["oracle_value"] = int(best.value)
         report["oracle_match"] = best.value == sol.value
         if not report["oracle_match"]:
@@ -99,6 +99,7 @@ def cmd_solve_fptas(args) -> int:
     else:
         eps = Fraction(args.epsilon)
         P = fptas_nn.resolution_for(inst.n, eps)
+    best = brute_force(inst) if args.verify else None
     start = time.perf_counter()
     sol = fptas_nn.solve_with_resolution(inst, P)
     elapsed = time.perf_counter() - start
@@ -117,7 +118,6 @@ def cmd_solve_fptas(args) -> int:
         report["guarantee"] = float(1 - eps)
     code = 0
     if args.verify:
-        best = brute_force(inst)
         ratio = sol.value / best.value
         report["oracle_value"] = int(best.value)
         report["ratio"] = ratio

@@ -41,7 +41,6 @@ from .relu_core import (
     _rounds,
     _take,
     _tree_arcs,
-    _tree_neurons,
     check_arc_budget,
     min_reduce_many,
     network_from_blocks,
@@ -169,10 +168,15 @@ class IntSequencePair:
         return cls(tuple(json_list(x, "x")), tuple(json_list(y, "y")))
 
 
+def _unreachable(n: int, bound: float) -> float:
+    """2*(n*bound + 1): above every path total over n vertices whose entries stay within `bound` in size."""
+    return 2.0 * (n * bound + 1.0)
+
+
 def big_value(matrix) -> float:
     """Unreachable-surrogate for a length/resource matrix: 2*(n*max|entry| + 1)."""
     m = np.asarray(matrix, dtype=np.float64)
-    return 2.0 * (m.shape[0] * float(np.max(np.abs(m))) + 1.0)
+    return _unreachable(m.shape[0], float(np.max(np.abs(m))))
 
 
 # -- longest common subsequence ----------------------------------------------
@@ -486,16 +490,16 @@ def _tsp_arcs(n: int, limit: int | None = None) -> int:
     def tree(m: int, k: int) -> int:
         while len(ones) < m:
             ones.append(ones[-1] + (len(ones) - 1).bit_count())
-        arcs = 0
-        for r, la, lb in _min_tree(m):
+        shared = 0
+        for _, la, lb in _min_tree(m):
             # Rows at places i < j of T - v = {s_1 < ... < s_m} share the path steps
             # s_x -> s_x+1 (s_0 = 0) for x outside {i - 1, i, j - 1, j} (all but
             # i - 1 and i when j = m), and the neurons of the entries on the first
             # i - 1 of them.
             i, j = la + 1, lb + 1
-            steps = m - 2 if j == m else m - 3 if j == i + 1 else m - 4
-            arcs += 2 * k - 2 * (steps + ones[max(i - 2, 0)]) + _tree_neurons(r, lb)
-        return arcs
+            shared += (m - 2 if j == m else m - 3 if j == i + 1 else m - 4) + ones[max(i - 2, 0)]
+        # each row b - a: the k terms of both rows less the shared ones, and its tree neurons
+        return 2 * k * (m - 1) + _tree_arcs(m) - 2 * shared
 
     terms = 1
     total = 0
@@ -536,7 +540,7 @@ def build_csp_network(n: int, c_star: int, resource_bound: float, source: int = 
         raise ValueError("source out of range")
     num_arcs = _csp_arcs(n, c_star, source)
     check_arc_budget(num_arcs, f"the constrained-path network for n = {n}, c_star = {c_star}")
-    big_r = 2.0 * (n * float(resource_bound) + 1.0)
+    big_r = _unreachable(n, float(resource_bound))
     gate = 2.0 * big_r
     edges = n * (n - 1)  # inputs: the lengths c(u, v), then the resources r(u, v)
     t = n - 1

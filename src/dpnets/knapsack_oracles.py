@@ -326,8 +326,8 @@ def fptas_reference(inst: KnapsackInstance, resolution: int) -> FptasTable:
         p_i, s_i = inst.profits[i - 1], inst.sizes[i - 1]
         d_old = max(P, sums[i - 1])
         d_new = max(P, sums[i])
-        p1 = -((-(rows * d_new)) // d_old)
-        p2 = -((-(rows * d_new - p_i * P)) // d_old)
+        p1 = coarse_index(rows, d_old, d_new)
+        p2 = coarse_index_with_item(rows, p_i, P, d_old, d_new)
         h1 = np.where(p1 <= P, g[np.minimum(p1, P), i - 1], 2.0)
         h2 = np.where(p2 >= 1, g[np.maximum(p2, 0), i - 1], 0.0)
         g[1:, i] = np.minimum(h1, s_i + h2)

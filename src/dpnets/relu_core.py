@@ -409,14 +409,12 @@ def network_from_blocks(n_inputs: int, layers) -> ReluNetwork:
 def _gather(ptr, idx):
     """The terms of rows `idx` (row `i` owns terms ``ptr[i]:ptr[i + 1]``), row by row.
 
-    Returns each term's place in `idx`, its index, and where the terms of
-    each row of `idx` start in the result, then their total.
+    Returns each term's place in `idx` and its index.
     """
     first = ptr[idx]
     count = ptr[idx + 1] - first
-    bounds = np.concatenate(([0], np.cumsum(count)))
     at = np.repeat(np.arange(idx.size), count)
-    return at, np.arange(at.size) + (first - bounds[:-1])[at], bounds
+    return at, np.arange(at.size) + (first - (np.cumsum(count) - count))[at]
 
 
 def _merge(row, sl, si, coef, const):
@@ -427,23 +425,31 @@ def _merge(row, sl, si, coef, const):
     occurred, its coefficients summed in the order they occurred.  A
     source whose coefficients cancel keeps its place; only
     :func:`network_from_blocks` drops the zero weight.
+
+    Both sorts run on one int64 key per term, ``row * span + sl *
+    (max_si + 1) + si`` and then ``row * span + first occurrence``, with
+    span at least the number of terms.  A call whose ``(max_row + 1) *
+    span`` reaches 2**63 would overflow them and is refused with
+    :class:`SizeGuardError`.
     """
     row, sl, si = (np.asarray(a, dtype=np.int64) for a in (row, sl, si))
     coef = np.asarray(coef, dtype=np.float64)
-    order = np.lexsort((si, sl, row))  # stable: repeats stay in occurrence order
-    r, a, b, c = row[order], sl[order], si[order], coef[order]
+    rows, width = int(row.max(initial=0)) + 1, int(si.max(initial=0)) + 1
+    span = max((int(sl.max(initial=0)) + 1) * width, row.size)
+    if rows * span >= 2**63:
+        raise SizeGuardError(f"merging terms into {rows} rows of {span} keys each reaches 2**63")
+    key = row * span + sl * width + si
+    order = np.argsort(key, kind="stable")  # repeats stay in occurrence order
+    key = key[order]
     first = np.ones(order.size, dtype=bool)
-    first[1:] = (r[1:] != r[:-1]) | (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-    start = np.flatnonzero(first)
-    total = c[start]
-    if start.size < order.size:
-        group = np.cumsum(first) - 1
-        rank = np.arange(order.size) - start[group]
-        for k in range(1, int(rank.max()) + 1):
-            at = rank == k
-            total[group[at]] += c[at]
-    place = np.lexsort((order[start], r[start]))
-    keep = order[start][place]
+    first[1:] = key[1:] != key[:-1]
+    start, repeat = np.flatnonzero(first), np.flatnonzero(~first)
+    total = coef[order[start]]
+    # unbuffered, in index order: each source's repeats add in the order they occurred
+    np.add.at(total, np.searchsorted(start, repeat) - 1, coef[order[repeat]])
+    keep = order[start]
+    place = np.argsort(row[keep] * span + keep, kind="stable")
+    keep = keep[place]
     return [(sl[keep], si[keep], row[keep], total[place])], np.asarray(const, dtype=np.float64)
 
 
@@ -457,7 +463,7 @@ def _take(parts, idx):
     row = np.concatenate([block[2] + o for block, o in zip(blocks, offset)])
     sl, si, coef = (np.concatenate([block[j] for block in blocks]) for j in (0, 1, 3))
     idx = np.asarray(idx, dtype=np.int64).reshape(-1)
-    at, term, _ = _gather(np.searchsorted(row, np.arange(offset[-1] + 1)), idx)
+    at, term = _gather(np.searchsorted(row, np.arange(offset[-1] + 1)), idx)
     return [(sl[term], si[term], at, coef[term])], np.concatenate([const for _, const in parts])[idx]
 
 
@@ -518,65 +524,46 @@ def min_reduce_many(layers: list, rows, m: int):
     The tree fixes every index.  A value whose last row is L is row L
     minus the neuron of each round s in which it was a right operand b,
     that is, in which bit s - 1 of L is set; that neuron is pair ``L >> s``
-    of its run in round s.  Each hidden row ``b - a`` lists, in the order
-    :func:`_merge` would, the terms of b's row (less a's coefficient where
-    a's row has the same source), b's neurons, a's other terms and a's
-    neurons.
+    of its run in round s.  Each hidden row ``b - a`` lists b's terms,
+    b's neurons, -a's terms and a's neurons, and a run's output row the
+    terms and neurons of its last value.  One :func:`_merge` call writes
+    the rows of every round, merging the sources that a shares with b by
+    its order rule.
     """
     if m == 1:
         return rows
     [(layer, index, row, weight)], const = rows
     base = len(layers)
     rnd, la, lb = np.array([*_min_tree(m)], dtype=np.int64).T
-    pairs = np.bincount(rnd)[1:]  # per round, a run's pairs
+    # Per round, the last rows of the values b and a of each pair; one more
+    # round is the output, whose one value per run ends at row m - 1.
+    b_last, a_last = ([last[rnd == r] for r in range(1, rnd[-1] + 1)] for last in (lb, la))
+    b_last.append(np.array([m - 1]))
+    pairs = np.array([last.size for last in b_last])
     run = np.arange(const.size // m)[:, None]
+    offsets = np.cumsum([0, *(pairs * run.size)])  # where each round's rows start
 
-    def neurons(last, r):
-        """The neurons subtracted before round r by the values whose last rows
-        are `last`, value by value in round order: each one's value, and the
-        layer and index of each run's copy (one row per run)."""
-        i, s = np.nonzero((last[:, None] >> np.arange(r - 1)) & 1)
-        return i, np.repeat(base + 1 + s[None], run.size, axis=0), pairs[s] * run + (last[i] >> (s + 1))
-
-    # The rows of every pair, round after round and run after run.  A lookup of
-    # (row, source) keys finds the sources that a's row shares with b's.
-    gb, ga = (np.concatenate([(m * run + l[rnd == r]).ravel() for r in range(1, pairs.size + 1)]) for l in (lb, la))
+    # The rows b and a of every pair, round after round and run after run:
+    # their terms, then the neurons subtracted from them in earlier rounds.
     ptr = np.searchsorted(row, np.arange(const.size + 1))
-    src = layer * (int(index.max(initial=0)) + 1) + index
-    stride = int(src.max(initial=0)) + 1
-    key = row * stride + src
-    order = np.argsort(key)  # keys are distinct: a row lists each source once
-    jb, tb, start = _gather(ptr, gb)
-    ja, ta, _ = _gather(ptr, ga)
-    query = gb[ja] * stride + src[ta]
-    hit = order[np.minimum(np.searchsorted(key, query, sorter=order), max(key.size - 1, 0))]
-    shared = key[hit] == query
-    coef = weight[tb]
-    coef[start[ja[shared]] + hit[shared] - ptr[gb[ja[shared]]]] -= weight[ta[shared]]
-    ta, ja = ta[~shared], ja[~shared]
-    b = (layer[tb], index[tb], jb, coef)
-    a = (layer[ta], index[ta], ja, -weight[ta])
-    bias = const[gb] - const[ga]
-    offsets = np.cumsum([0, *(pairs * run.size)])
-    for r in range(1, pairs.size + 1):
-        p0, p1 = offsets[r - 1], offsets[r]
-        blocks = []
-        for (sl, si, at, w), sign, last in ((b, -1.0, lb), (a, 1.0, la)):
-            t0, t1 = np.searchsorted(at, (p0, p1))
-            blocks.append((sl[t0:t1], si[t0:t1], at[t0:t1] - p0, w[t0:t1]))
-            if r > 1:
-                i, nl, ni = neurons(last[rnd == r], r)
-                blocks.append((nl.ravel(), ni.ravel(), (pairs[r - 1] * run + i).ravel(), sign))
-        layers.append((blocks, bias[p0:p1]))
-    # run j: the terms of its last row, then its neurons
-    ends = m * run.ravel() + m - 1
-    at, term, _ = _gather(ptr, ends)
-    _, nl, ni = neurons(np.array([m - 1]), pairs.size + 1)
-    at = np.concatenate([at, np.repeat(run.ravel(), ni.shape[1])])
-    order = np.argsort(at, kind="stable")
-    sl, si, w = (np.concatenate(pair)[order] for pair in
-                 ((layer[term], nl.ravel()), (index[term], ni.ravel()), (weight[term], np.full(ni.size, -1.0))))
-    return [(sl, si, at[order], w)], const[ends]
+    terms, groups = [], []
+    for lasts, sign in ((b_last, 1.0), (a_last, -1.0)):
+        groups.append(np.concatenate([(m * run + last).ravel() for last in lasts]))
+        at, term = _gather(ptr, groups[-1])
+        terms.append((at, layer[term], index[term], sign * weight[term]))
+        for r, last in enumerate(lasts[1:], start=2):
+            i, s = np.nonzero((last[:, None] >> np.arange(r - 1)) & 1)  # bit s: a neuron of round s + 1
+            at = offsets[r - 1] + pairs[r - 1] * run + i
+            neuron = pairs[s] * run + (last[i] >> (s + 1))
+            terms.append((at.ravel(), np.tile(base + 1 + s, run.size), neuron.ravel(), np.full(neuron.size, -sign)))
+    gb, ga = groups
+    bias = np.concatenate((const[gb[: ga.size]] - const[ga], const[gb[ga.size :]]))
+    [(sl, si, at, coef)], bias = _merge(*map(np.concatenate, zip(*terms)), bias)
+    cut = np.searchsorted(at, offsets)
+    parts = [([(sl[t0:t1], si[t0:t1], at[t0:t1] - r0, coef[t0:t1])], bias[r0:r1])
+             for t0, t1, r0, r1 in zip(cut, cut[1:], offsets, offsets[1:])]
+    layers += parts[:-1]
+    return parts[-1]
 
 
 def min2_gadget() -> ReluNetwork:

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from dpnets import dp_nn, fptas_nn
 from dpnets.cli import main
 from dpnets.relu_core import MAX_ARCS
 from dpnets.verify import capped_instance
@@ -140,7 +141,13 @@ def test_bench_csv_shape(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("command", [["solve-exact"], ["solve-fptas", "--capital-p", "2"]])
-def test_verify_refuses_instances_past_brute_force(command, tmp_path, capsys):
+def test_verify_refuses_instances_past_brute_force(command, tmp_path, capsys, monkeypatch):
+    # the refusal comes before any network is built or run
+    def refuse(*args):
+        raise AssertionError("solved before the oracle refused")
+
+    monkeypatch.setattr(dp_nn, "solve_exact", refuse)
+    monkeypatch.setattr(fptas_nn, "solve_with_resolution", refuse)
     path = tmp_path / "inst.json"
     path.write_text(json.dumps({"profits": [1] * 26, "sizes": [0.5] * 26}))
     code, out, err = run_cli([*command, "--instance", str(path), "--verify"], capsys)

@@ -24,3 +24,18 @@ def test_package_imports_only_exported_names():
     for node in imports:
         exported = importlib.import_module(f"dpnets.{node.module}").__all__
         assert [a.name for a in node.names if a.name not in exported] == [], node.module
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_imported_name_is_used(name):
+    # an import that a refactor leaves behind is neither read nor exported
+    module = importlib.import_module(f"dpnets.{name}")
+    tree = ast.parse(inspect.getsource(module))
+    imported = {
+        (alias.asname or alias.name).partition(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used - set(module.__all__)) == []

@@ -15,6 +15,7 @@ from dpnets.instance_gen import SplitMix64
 from dpnets.relu_core import (
     MAX_ARCS,
     ReluNetwork,
+    _merge,
     _min_arcs,
     min2_gadget,
     min_n_gadget,
@@ -279,3 +280,16 @@ def test_serialization_round_trip():
         rng = SplitMix64(3)
         xs = grid_values(rng, net.layer_sizes[0], -(2**20), 2**20)
         assert np.array_equal(back.evaluate(xs), net.evaluate(xs))
+
+
+def test_merge_refuses_keys_past_int64():
+    # Sources up to layer 2**22 - 1 and index 2**41 - 2 leave one row just
+    # under 2**63 keys and still merge in first-occurrence order; one index
+    # more, or the far larger sources below, would overflow the int64 key.
+    top, last = 2**22 - 1, 2**41 - 2
+    [(sl, si, row, coef)], _ = _merge([0] * 4, [top, 0, top, top], [0, last, last, 0], [1.0, 2.0, 4.0, 0.5], [0.0])
+    assert list(zip(sl.tolist(), si.tolist(), coef.tolist())) == [(top, 0, 1.5), (0, last, 2.0), (top, last, 4.0)]
+    assert row.tolist() == [0, 0, 0]
+    for sl, si in (([top, 0], [0, last + 1]), ([2**30, 0], [0, 2**40])):
+        with pytest.raises(SizeGuardError, match="reaches 2\\*\\*63"):
+            _merge([0, 0], sl, si, [1.0, 1.0], [0.0])
