@@ -14,14 +14,45 @@ many inputs can be evaluated in parallel without coordination.
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property
+from importlib.machinery import EXTENSION_SUFFIXES
 from itertools import accumulate, chain
 
 import numpy as np
-from scipy.sparse._sparsetools import csr_matvec, csr_matvecs, csr_sort_indices, csr_sum_duplicates
 
 from .errors import ConstructionError, NumericOverflowError, ShapeMismatchError, SizeGuardError
+
+
+def _sparsetools():
+    """scipy's ``scipy.sparse._sparsetools``, loaded from its file without importing ``scipy.sparse``.
+
+    That import takes about 0.25 s (through ``numpy.f2py`` and ``numpy.testing``).  If the extension is
+    already imported, or its file is missing or fails to load, the normal import runs.
+    """
+    name = "scipy.sparse._sparsetools"
+    scipy = None if name in sys.modules else importlib.util.find_spec("scipy")
+    for suffix in EXTENSION_SUFFIXES if scipy else ():
+        path = os.path.join(scipy.submodule_search_locations[0], "sparse", "_sparsetools" + suffix)
+        spec = importlib.util.spec_from_file_location(name, path)
+        try:
+            module = importlib.util.module_from_spec(spec)  # a single-phase extension files itself in sys.modules
+            spec.loader.exec_module(module)
+        except ImportError:  # no such file, or it fails to load
+            continue
+        # A later `import scipy.sparse` then binds it on the package from CPython's cache of the
+        # initialised extension: the same C functions, no second initialisation.
+        sys.modules.pop(name, None)
+        return module
+    return importlib.import_module(name)
+
+
+_kernels = _sparsetools()
+csr_matvec, csr_matvecs = _kernels.csr_matvec, _kernels.csr_matvecs
+csr_sort_indices, csr_sum_duplicates = _kernels.csr_sort_indices, _kernels.csr_sum_duplicates
 
 __all__ = [
     "MAX_ARCS",
@@ -39,7 +70,7 @@ __all__ = [
 # cell and evaluating it once peaks at about 90 bytes per arc (the 8.4M
 # arcs at p* = 2047 took 716 MB).  Unfolding peaks at about 95 bytes per
 # arc over the imported package (unfold_dp(30, 520), 1.0M arcs: 0.27 s,
-# 145 MB against 50 MB after import), about 0.8 GB at the budget.  Below
+# 124 MB against 30 MB after import), about 0.8 GB at the budget.  Below
 # it every CSR index fits in int32.
 MAX_ARCS = 2**23
 
@@ -87,7 +118,10 @@ class ReluNetwork:
     layers through scipy's private ``scipy.sparse._sparsetools`` kernels
     (``csr_matvec``, and ``csr_matvecs`` for :meth:`evaluate_batch`) into
     one output buffer per call, so one network can be evaluated from
-    several threads at once.  All arithmetic is IEEE double precision.
+    several threads at once.  The extension is loaded from its file without
+    importing ``scipy.sparse``, or through the normal import when it is
+    already imported or its file is missing or fails to load; the C
+    functions are the same either way.  All arithmetic is IEEE double precision.
     The constructions in this package only combine small integers, halves
     and input-derived values, so they evaluate exactly while every
     integer-valued pre-activation stays below 2**53; each builder
