@@ -7,36 +7,16 @@ subsequence, single-source and all-pairs shortest paths, length-indexed
 constrained shortest paths, and the subset-DP traveling-salesperson
 recursion -- and ships the classical oracles and property suites that
 verify every construction.
+
+The names of :mod:`dpnets.co_builders` (``dpnets.run_tsp`` and so on) load
+that module on first use, so the knapsack path never compiles it.
 """
 
-from .co_builders import (
-    IntSequencePair,
-    WeightedGraph,
-    bellman_ford_distances,
-    build_bellman_ford_cell,
-    build_csp_network,
-    build_lcs_cell,
-    build_min_plus_square_cell,
-    build_tsp_network,
-    enumerate_csp_lengths,
-    floyd_warshall,
-    lcs_length,
-    run_apsp,
-    run_bellman_ford,
-    run_csp,
-    run_lcs,
-    run_tsp,
-    tsp_brute_force,
-)
+import importlib.util
+
 from .dp_nn import DpCell, build_dp_cell, run_recurrent, solve_exact, unfold_dp
-from .errors import (
-    ConstructionError,
-    InfeasibleTargetError,
-    NetworkError,
-    NumericOverflowError,
-    ShapeMismatchError,
-    SizeGuardError,
-)
+from .errors import (ConstructionError, InfeasibleTargetError, NetworkError, NumericOverflowError,
+                     ShapeMismatchError, SizeGuardError)
 from .fptas_nn import (
     FptasCell,
     build_fptas_cell,
@@ -45,7 +25,7 @@ from .fptas_nn import (
     solve_with_resolution,
     width_quality_curve,
 )
-from .instance_gen import GenConfig, SplitMix64, gen_graph, gen_knapsack, gen_sequences
+from .instance_gen import GenConfig, IntSequencePair, SplitMix64, WeightedGraph, gen_graph, gen_knapsack, gen_sequences
 from .knapsack_oracles import (
     CAPACITY_TOL,
     DpTable,
@@ -58,12 +38,16 @@ from .knapsack_oracles import (
     fptas_reference,
     optimum_value,
 )
-from .relu_core import (
-    NetworkStats,
-    ReluNetwork,
-    min2_gadget,
-    min_n_gadget,
-    unfold,
-)
+from .relu_core import NetworkStats, ReluNetwork, min2_gadget, min_n_gadget, unfold
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # `from . import verify` asks here before it imports the submodule, so a
+    # submodule name must fail without loading co_builders.
+    if importlib.util.find_spec(f"{__name__}.{name}") is None:
+        co_builders = importlib.import_module(f"{__name__}.co_builders")
+        if name in co_builders.__all__:
+            return getattr(co_builders, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -17,7 +17,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import co_builders, dp_nn, fptas_nn, instance_gen, verify
+from . import dp_nn, fptas_nn, instance_gen, verify
 from .errors import NetworkError
 from .knapsack_oracles import BRUTE_FORCE_MAX_ITEMS, KnapsackInstance, brute_force
 
@@ -133,6 +133,7 @@ def cmd_solve_fptas(args) -> int:
 
 
 def cmd_build(args) -> int:
+    from . import co_builders
     kind = args.kind
     if kind == "dp":
         net = dp_nn.build_dp_cell(_require(args.p_star, "--p-star")).net
@@ -141,7 +142,7 @@ def cmd_build(args) -> int:
     elif kind == "lcs":
         net = co_builders.build_lcs_cell(_require(args.value_bound, "--value-bound"))
     elif kind == "bf":
-        graph = co_builders.WeightedGraph.from_json_dict(_load_json(_require(args.instance, "--instance")))
+        graph = instance_gen.WeightedGraph.from_json_dict(_load_json(_require(args.instance, "--instance")))
         net = co_builders.build_bellman_ford_cell(graph)
     elif kind == "apsp":
         net = co_builders.build_min_plus_square_cell(_require(args.n, "--n"))

@@ -29,8 +29,8 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import SizeGuardError
-from .knapsack_oracles import integer_value, json_fields, json_list, number_value
+from .errors import NumericOverflowError, SizeGuardError
+from .instance_gen import IntSequencePair, WeightedGraph
 from .relu_core import (
     MAX_ARCS,
     ReluNetwork,
@@ -38,7 +38,6 @@ from .relu_core import (
     _merge,
     _min_arcs,
     _min_tree,
-    _rounds,
     _take,
     _tree_arcs,
     check_arc_budget,
@@ -76,98 +75,6 @@ RESOURCE_TOL = 1e-9
 ORACLE_MAX_VERTICES = 10
 
 
-# -- domain types ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WeightedGraph:
-    """Dense digraph: length matrix, optional resource matrix, source vertex."""
-
-    lengths: np.ndarray
-    resources: np.ndarray | None = None
-    source: int = 0
-
-    def __post_init__(self):
-        lengths = np.array(self.lengths, dtype=np.float64)
-        if lengths.ndim != 2 or lengths.shape[0] != lengths.shape[1]:
-            raise ValueError("length matrix must be square")
-        if lengths.shape[0] < 2:
-            raise ValueError("need at least two vertices")
-        if not np.all(np.isfinite(lengths)):
-            raise ValueError("lengths must be finite")
-        lengths.setflags(write=False)
-        object.__setattr__(self, "lengths", lengths)
-        if self.resources is not None:
-            res = np.array(self.resources, dtype=np.float64)
-            if res.shape != lengths.shape:
-                raise ValueError("resource matrix shape mismatch")
-            if not np.all(np.isfinite(res)) or (res < 0).any():
-                raise ValueError("resources must be finite and non-negative")
-            res.setflags(write=False)
-            object.__setattr__(self, "resources", res)
-        object.__setattr__(self, "source", integer_value(self.source, "source"))
-        if not 0 <= self.source < lengths.shape[0]:
-            raise ValueError("source out of range")
-
-    @property
-    def n(self) -> int:
-        return self.lengths.shape[0]
-
-    def to_json_dict(self) -> dict:
-        doc = {"n": self.n, "lengths": self.lengths.tolist(), "source": self.source}
-        if self.resources is not None:
-            doc["resources"] = self.resources.tolist()
-        return doc
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "WeightedGraph":
-        (lengths,) = json_fields(doc, "graph", "lengths")
-        resources = doc.get("resources")
-        graph = cls(_number_matrix(lengths, "length"),
-                    None if resources is None else _number_matrix(resources, "resource"),
-                    doc.get("source", 0))
-        if "n" in doc and integer_value(doc["n"], "n") != graph.n:
-            raise ValueError(f"the graph document's n = {doc['n']} does not match its {graph.n} rows")
-        return graph
-
-
-def _number_matrix(rows, what: str) -> list:
-    """A JSON matrix as lists of floats; ValueError on any entry that is not a number."""
-    return [[number_value(v, what) for v in json_list(row, f"a {what} row")]
-            for row in json_list(rows, f"the {what} matrix")]
-
-
-@dataclass(frozen=True)
-class IntSequencePair:
-    """Two finite integer sequences (the equality gates require integrality)."""
-
-    x: tuple
-    y: tuple
-
-    def __post_init__(self):
-        for name in ("x", "y"):
-            entries = tuple(integer_value(v, f"{name} entry") for v in getattr(self, name))
-            object.__setattr__(self, name, entries)
-        if not self.x or not self.y:
-            raise ValueError("sequences must be non-empty")
-
-    @property
-    def m(self) -> int:
-        return len(self.x)
-
-    @property
-    def n(self) -> int:
-        return len(self.y)
-
-    def to_json_dict(self) -> dict:
-        return {"x": list(self.x), "y": list(self.y)}
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "IntSequencePair":
-        x, y = json_fields(doc, "sequence pair", "x", "y")
-        return cls(tuple(json_list(x, "x")), tuple(json_list(y, "y")))
-
-
 def _unreachable(n: int, bound: float) -> float:
     """2*(n*bound + 1): above every path total over n vertices whose entries stay within `bound` in size."""
     return 2.0 * (n * bound + 1.0)
@@ -177,6 +84,18 @@ def big_value(matrix) -> float:
     """Unreachable-surrogate for a length/resource matrix: 2*(n*max|entry| + 1)."""
     m = np.asarray(matrix, dtype=np.float64)
     return _unreachable(m.shape[0], float(np.max(np.abs(m))))
+
+
+def _check_exact_range(values, magnitude: float, what: str):
+    """Refuse `what` with NumericOverflowError once `magnitude`, the largest value
+    it forms, reaches 2**53 times the finest dyadic quantum of `values`, the
+    numbers it starts from: only below that bound is every sum it forms exact."""
+    mantissa, exponent = np.frexp(np.ravel(values))
+    steps = np.abs(mantissa * 2.0**53).astype(np.int64)
+    quantum = np.min(np.ldexp(steps & -steps, exponent - 53), initial=np.inf, where=steps != 0)
+    if magnitude >= 2.0**53 * quantum:
+        raise NumericOverflowError(f"{what} can form sums up to {float(magnitude)!r}, past 2**53 "
+                                   f"times the entries' quantum {float(quantum)!r}")
 
 
 # -- longest common subsequence ----------------------------------------------
@@ -282,15 +201,24 @@ def run_bellman_ford(graph: WeightedGraph, rounds: int | None = None) -> np.ndar
 
     The initial state is 0 at the source and BIG elsewhere; results at
     or above BIG mean "not reachable within the given rounds".
+
+    With M = max|length| and R rounds, states lie in [-R M, BIG], and every
+    sum the cell forms stays within BIG + (R + 3) M in size, partial sums
+    before a row's lengths (its biases) are added included.  A graph where
+    that reaches 2**53 times the finest dyadic quantum of its lengths and
+    BIG is refused with NumericOverflowError, off-grid lengths like 0.1 too.
     """
     n = graph.n
     if not np.all(np.diag(graph.lengths) == 0.0):
         raise ValueError("relaxation rounds need a zero diagonal")
-    cell = build_bellman_ford_cell(graph)
+    rounds = n - 1 if rounds is None else rounds
     big = big_value(graph.lengths)
+    magnitude = big + (rounds + 3) * np.max(np.abs(graph.lengths))
+    _check_exact_range(np.append(graph.lengths, big), magnitude, f"{rounds} relaxation rounds")
+    cell = build_bellman_ford_cell(graph)
     state = np.full(n, big)
     state[graph.source] = 0.0
-    for _ in range(n - 1 if rounds is None else rounds):
+    for _ in range(rounds):
         state = cell.evaluate(state)
     return state
 
@@ -338,14 +266,20 @@ def run_apsp(graph: WeightedGraph) -> np.ndarray:
 
     Requires a zero diagonal and no negative cycles (the runner does not
     detect them); missing edges should be encoded as BIG.
+
+    With M = max|entry| and r squarings, every sum the cell forms stays
+    within (2**r + 2) M in size; it is refused as in :func:`run_bellman_ford`
+    once that reaches 2**53 times the finest dyadic quantum of the entries.
     """
     n = graph.n
     if not np.all(np.diag(graph.lengths) == 0.0):
         raise ValueError("min-plus powers need a zero diagonal")
     state = graph.lengths.flatten()
     if n > 2:
+        squarings = math.ceil(math.log2(n - 1))
+        _check_exact_range(state, (2**squarings + 2) * np.max(np.abs(state)), f"{squarings} min-plus squarings")
         cell = build_min_plus_square_cell(n)
-        for _ in range(math.ceil(math.log2(n - 1))):
+        for _ in range(squarings):
             state = cell.evaluate(state)
     return state.reshape(n, n)
 
@@ -425,9 +359,8 @@ def _offdiag(matrix) -> np.ndarray:
 
 def _listings(m: int, row: int) -> int:
     """How many hidden rows of the minimum tree over m rows list the terms of `row`:
-    the rounds in which a value ending at `row` is paired."""
-    return sum(1 for r, pairs in _rounds(m)
-               if (j := row >> (r - 1)) < 2 * pairs and row == min((j + 1) << (r - 1), m) - 1)
+    the pairs of a value ending at `row`."""
+    return sum(row in (la, lb) for _, la, lb in _min_tree(m))
 
 
 def _bf_arcs(n: int) -> int:
@@ -463,8 +396,7 @@ def _csp_arcs(n: int, c_star: int, source: int) -> int:
     """
     n, c_star, source = operator.index(n), operator.index(c_star), operator.index(source)
     t, p, m = n - 1, n.bit_count(), n + 1
-    listed = sum(2 * pairs for _, pairs in _rounds(m))
-    first, hops = _listings(m, 0), listed - _listings(m, 0) - _listings(m, n)
+    first, hops = _listings(m, 0), 2 * (m - 1) - _listings(m, 0) - _listings(m, n)
     c_sum, c_less = c_star * (c_star + 1) // 2, c_star * (c_star - 1) // 2
     tree = c_star * _tree_arcs(m) + (c_star - 1) * p * first + c_sum * hops
     keeps = 2 * c_sum + (t - 1) * (2 + p) * c_less
@@ -558,9 +490,10 @@ def build_csp_network(n: int, c_star: int, resource_bound: float, source: int = 
         np.column_stack((-gate_k, gate_k)).ravel(),
     ))
 
-    # Hop (u, v) for each target v and u != v, v-major.  Table row 0 is the
-    # source's constant 0, row 1 the constant BIG_R of a budget c <= 0, and then
-    # f(c, v) for c = 1, 2, ... is row (c - 1) t + row_of[v].
+    # Hop (u, v) for each target v and u != v, v-major.  The table is the rows of
+    # `parts` stacked: row 0 is the source's constant 0, row 1 the constant BIG_R
+    # of a budget c <= 0, and then f(c, v) for c = 1, 2, ... is row
+    # (c - 1) t + row_of[v], one part per budget.
     edge = np.argsort(ev, kind="stable")  # each hop's edge
     hop_u, from_source = eu[edge], eu[edge] == source
     resource = edges + _edge(n, eu[edge], ev[edge])
@@ -568,7 +501,7 @@ def build_csp_network(n: int, c_star: int, resource_bound: float, source: int = 
     row_of[targets] = 2 + np.arange(t)
     hop_at = np.arange(t * (n - 1)).reshape(t, n - 1)  # the n - 1 hops into each target
     none = np.zeros(0, dtype=np.int64)
-    table = [(none, none, none, np.zeros(0))], np.array([0.0, big_r])
+    parts = [([(none, none, none, np.zeros(0))], np.array([0.0, big_r]))]
     for c in range(1, c_star + 1):
         # keep (v, u, k) = relu(BIG_R - f(c - k, u) - plus - minus) for k = 1..kmax;
         # u = source reads the constant 0 up to k = c.
@@ -578,7 +511,7 @@ def build_csp_network(n: int, c_star: int, resource_bound: float, source: int = 
         k = keep - (np.cumsum(kmax) - kmax)[hop] + 1
         g = 2 * (c_star * edge[hop] + k - 1)
         read = np.where(from_source[hop], 0, (c - k - 1) * t + row_of[hop_u[hop]])
-        [(sl, si, row, coef)], const = _take([table], read)
+        [(sl, si, row, coef)], const = _take(parts, read)
         layers.append(([(sl, si, row, -coef), (1, g, keep, -1.0), (1, g + 1, keep, -1.0)], big_r - const))
         # hop(u, v) = BIG_R - (its keeps) + r(u, v)
         end = np.cumsum(kmax + 1) - 1
@@ -590,9 +523,9 @@ def build_csp_network(n: int, c_star: int, resource_bound: float, source: int = 
         # group v of the minimum: f(c - 1, v), the n - 1 hops into v, BIG_R (row 1)
         previous = np.full(t, 1) if c == 1 else (c - 2) * t + 2 + np.arange(t)
         group = np.column_stack((previous, 2 + (c - 1) * t + hop_at, np.ones(t, dtype=np.int64))).ravel()
-        table = _take([table, min_reduce_many(layers, _take([table, hop_rows], group), n + 1)], np.arange(2 + c * t))
+        parts.append(min_reduce_many(layers, _take([*parts, hop_rows], group), n + 1))
 
-    net = network_from_blocks(2 * edges, [*layers, _take([table], np.arange(2, 2 + c_star * t))])
+    net = network_from_blocks(2 * edges, [*layers, _take(parts, np.arange(2, 2 + c_star * t))])
     return CspNetwork(_checked(net, num_arcs), n, c_star, source, big_r, float(resource_bound))
 
 
@@ -603,16 +536,13 @@ def run_csp(graph: WeightedGraph, c_star: int, limit) -> dict:
     Lengths must be integers >= 1 off the diagonal (the table is indexed
     by length); `limit` must lie below the BIG_R surrogate.
     """
-    n = graph.n
+    n, lengths = graph.n, graph.lengths
     if graph.resources is None:
         raise ValueError("constrained shortest paths need a resource matrix")
-    for u in range(n):
-        for v in range(n):
-            if u == v:
-                continue
-            c = graph.lengths[u, v]
-            if c != round(c) or c < 1:
-                raise ValueError(f"length {c} at ({u}, {v}) is not a positive integer")
+    bad = np.argwhere(((lengths != np.round(lengths)) | (lengths < 1)) & ~np.eye(n, dtype=bool))
+    if bad.size:
+        u, v = bad[0]
+        raise ValueError(f"length {lengths[u, v]} at ({u}, {v}) is not a positive integer")
     resource_bound = float(np.max(graph.resources))
     network = build_csp_network(n, c_star, resource_bound, graph.source)
     if not 0 <= limit < network.big_r:

@@ -1,4 +1,4 @@
-"""Deterministic random instance generation.
+"""Deterministic random instances, and the graph and sequence-pair types they come in.
 
 All randomness flows through SplitMix64, a tiny 64-bit generator with a
 fixed published algorithm, so that identical seeds reproduce instances
@@ -14,13 +14,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .co_builders import IntSequencePair, WeightedGraph
-from .knapsack_oracles import KnapsackInstance
+import numpy as np
+
+from .knapsack_oracles import KnapsackInstance, integer_value, json_fields, json_list, number_value
 
 __all__ = [
     "GRID_QUANTUM",
     "GenConfig",
+    "IntSequencePair",
     "SplitMix64",
+    "WeightedGraph",
     "gen_graph",
     "gen_knapsack",
     "gen_sequences",
@@ -142,6 +145,95 @@ def gen_knapsack(cfg: GenConfig) -> KnapsackInstance:
             return KnapsackInstance(tuple(profits), tuple(sizes))
 
 
+@dataclass(frozen=True)
+class WeightedGraph:
+    """Dense digraph: length matrix, optional resource matrix, source vertex."""
+
+    lengths: np.ndarray
+    resources: np.ndarray | None = None
+    source: int = 0
+
+    def __post_init__(self):
+        lengths = np.array(self.lengths, dtype=np.float64)
+        if lengths.ndim != 2 or lengths.shape[0] != lengths.shape[1]:
+            raise ValueError("length matrix must be square")
+        if lengths.shape[0] < 2:
+            raise ValueError("need at least two vertices")
+        if not np.all(np.isfinite(lengths)):
+            raise ValueError("lengths must be finite")
+        lengths.setflags(write=False)
+        object.__setattr__(self, "lengths", lengths)
+        if self.resources is not None:
+            res = np.array(self.resources, dtype=np.float64)
+            if res.shape != lengths.shape:
+                raise ValueError("resource matrix shape mismatch")
+            if not np.all(np.isfinite(res)) or (res < 0).any():
+                raise ValueError("resources must be finite and non-negative")
+            res.setflags(write=False)
+            object.__setattr__(self, "resources", res)
+        object.__setattr__(self, "source", integer_value(self.source, "source"))
+        if not 0 <= self.source < lengths.shape[0]:
+            raise ValueError("source out of range")
+
+    @property
+    def n(self) -> int:
+        return self.lengths.shape[0]
+
+    def to_json_dict(self) -> dict:
+        doc = {"n": self.n, "lengths": self.lengths.tolist(), "source": self.source}
+        if self.resources is not None:
+            doc["resources"] = self.resources.tolist()
+        return doc
+
+    @classmethod
+    def from_json_dict(cls, doc: dict) -> "WeightedGraph":
+        (lengths,) = json_fields(doc, "graph", "lengths")
+        resources = doc.get("resources")
+        graph = cls(_number_matrix(lengths, "length"),
+                    None if resources is None else _number_matrix(resources, "resource"),
+                    doc.get("source", 0))
+        if "n" in doc and integer_value(doc["n"], "n") != graph.n:
+            raise ValueError(f"the graph document's n = {doc['n']} does not match its {graph.n} rows")
+        return graph
+
+
+def _number_matrix(rows, what: str) -> list:
+    """A JSON matrix as lists of floats; ValueError on any entry that is not a number."""
+    return [[number_value(v, what) for v in json_list(row, f"a {what} row")]
+            for row in json_list(rows, f"the {what} matrix")]
+
+
+@dataclass(frozen=True)
+class IntSequencePair:
+    """Two finite integer sequences (the equality gates require integrality)."""
+
+    x: tuple
+    y: tuple
+
+    def __post_init__(self):
+        for name in ("x", "y"):
+            entries = tuple(integer_value(v, f"{name} entry") for v in getattr(self, name))
+            object.__setattr__(self, name, entries)
+        if not self.x or not self.y:
+            raise ValueError("sequences must be non-empty")
+
+    @property
+    def m(self) -> int:
+        return len(self.x)
+
+    @property
+    def n(self) -> int:
+        return len(self.y)
+
+    def to_json_dict(self) -> dict:
+        return {"x": list(self.x), "y": list(self.y)}
+
+    @classmethod
+    def from_json_dict(cls, doc: dict) -> "IntSequencePair":
+        x, y = json_fields(doc, "sequence pair", "x", "y")
+        return cls(tuple(json_list(x, "x")), tuple(json_list(y, "y")))
+
+
 def gen_graph(
     n: int,
     max_len: float,
@@ -161,23 +253,15 @@ def gen_graph(
     if max_len <= 0:
         raise ValueError("max_len must be positive")
     rng = SplitMix64(seed)
-    lengths = [[0.0] * n for _ in range(n)]
-    for u in range(n):
-        for v in range(n):
-            if u == v:
-                continue
-            if integer_lengths:
-                lengths[u][v] = float(rng.randint(1, int(max_len)))
-            else:
-                lengths[u][v] = _quantize(rng.uniform() * max_len)
-    resources = None
-    if with_resources:
-        resources = [[0.0] * n for _ in range(n)]
-        for u in range(n):
-            for v in range(n):
-                if u != v:
-                    resources[u][v] = _quantize(rng.uniform() * max_len)
-    return WeightedGraph(lengths, resources, source=0)
+
+    def matrix(draw):  # row-major draws off the diagonal
+        return [[draw() if u != v else 0.0 for v in range(n)] for u in range(n)]
+
+    def grid_draw():
+        return _quantize(rng.uniform() * max_len)
+
+    lengths = matrix((lambda: float(rng.randint(1, int(max_len)))) if integer_lengths else grid_draw)
+    return WeightedGraph(lengths, matrix(grid_draw) if with_resources else None, source=0)
 
 
 def gen_sequences(m: int, n: int, alphabet: int, seed: int) -> IntSequencePair:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import co_builders, dp_nn, fptas_nn, instance_gen
+from . import dp_nn, fptas_nn, instance_gen
 from .instance_gen import GRID_QUANTUM, GenConfig, SplitMix64
 from .knapsack_oracles import KnapsackInstance, brute_force, dp_table, fptas_reference
 from .relu_core import ReluNetwork, min2_gadget, min_n_gadget, unfold
@@ -216,6 +216,7 @@ def suite_fptas(trials: int, seed: int) -> SuiteResult:
 
 
 def suite_co(trials: int, seed: int) -> SuiteResult:
+    from . import co_builders
     r = SuiteResult("co_builders")
     rng = SplitMix64(seed)
     for t in range(trials):

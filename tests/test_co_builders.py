@@ -23,7 +23,7 @@ from dpnets.co_builders import (
     run_tsp,
     tsp_brute_force,
 )
-from dpnets.errors import SizeGuardError
+from dpnets.errors import NumericOverflowError, SizeGuardError
 from dpnets.instance_gen import gen_graph, gen_sequences
 
 # -- longest common subsequence -------------------------------------------------
@@ -121,7 +121,46 @@ def test_bf_negative_lengths_no_negative_cycle():
     assert np.array_equal(run_bellman_ford(g), bellman_ford_distances(g))
 
 
+def _triangle(far, near):
+    return WeightedGraph([[0, far, near], [1, 0, far], [far, 1, 0]])
+
+
+def test_bf_refuses_lengths_past_the_exact_range():
+    # BIG is past 2**53 here; unchecked, the cell returned [-2, 3, 1] against [0, 4, 3]
+    with pytest.raises(NumericOverflowError):
+        run_bellman_ford(_triangle(2**51, 3))
+
+
+def test_bf_exact_at_the_largest_admitted_magnitude():
+    far = (2**53 - 3) // 11  # BIG + (R + 3) M = 11 M + 2 on three vertices, below 2**53
+    g = _triangle(far, 3)
+    assert np.array_equal(run_bellman_ford(g), bellman_ford_distances(g))
+    with pytest.raises(NumericOverflowError):
+        run_bellman_ford(_triangle(far + 1, 3))
+
+
+def test_co_runners_refuse_off_grid_lengths():
+    g = WeightedGraph([[0, 0.1, 0.3], [0.1, 0, 0.2], [0.2, 0.1, 0]])
+    for run in (run_bellman_ford, run_apsp):
+        with pytest.raises(NumericOverflowError):
+            run(g)
+
+
 # -- all-pairs shortest paths -----------------------------------------------------
+
+
+def test_apsp_refuses_lengths_past_the_exact_range():
+    # unchecked, row 1 read [0, 0, 5] against [1, 0, 5]
+    with pytest.raises(NumericOverflowError):
+        run_apsp(_triangle(2**53, 4))
+
+
+def test_apsp_exact_at_the_largest_admitted_magnitude():
+    far = 2**51 - 1  # (2**r + 2) M = 4 M on three vertices, below 2**53
+    g = _triangle(far, 4)
+    assert np.array_equal(run_apsp(g), floyd_warshall(g.lengths))
+    with pytest.raises(NumericOverflowError):
+        run_apsp(_triangle(far + 1, 4))
 
 
 def test_apsp_cell_shape():

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpnets.dp_nn import build_dp_cell, run_recurrent
 from dpnets.errors import NumericOverflowError, SizeGuardError
@@ -15,10 +17,11 @@ from dpnets.fptas_nn import (
     solve_with_resolution,
     width_quality_curve,
 )
-from dpnets.instance_gen import SplitMix64
+from dpnets.instance_gen import GRID_QUANTUM, SplitMix64
 from dpnets.knapsack_oracles import (
     KnapsackInstance,
     brute_force,
+    exact_profit_budget,
     fptas_reference,
 )
 from dpnets.relu_core import MAX_ARCS
@@ -222,3 +225,22 @@ def test_network_and_reference_share_the_exact_range():
         fptas_reference(at_edge, 4)
     inside = KnapsackInstance((2**48 - 3,), (0.5,))
     assert np.array_equal(run_fptas(cell, inside).table.values, fptas_reference(inside, 4).values)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_padding_item_leaves_both_states_unchanged(data):
+    # The item (profit 0, size 2) is a no-op step of both cells on grid states,
+    # so instances of different lengths can be padded to one length.
+    def grid_state(size):
+        steps = data.draw(st.lists(st.integers(0, 2**27), min_size=size, max_size=size))
+        return np.array(steps) * GRID_QUANTUM  # [0, 2]
+
+    p_star = data.draw(st.integers(1, 29))
+    f = grid_state(p_star)
+    assert build_dp_cell(p_star).net.evaluate(np.concatenate([f, [0.0, 2.0]])).tobytes() == f.tobytes()
+
+    P = data.draw(st.integers(1, 24))
+    g, total = grid_state(P), float(data.draw(st.integers(0, exact_profit_budget(P))))
+    out = build_fptas_cell(P).net.evaluate(np.concatenate([g, [total, 0.0, 2.0]]))
+    assert out[:P].tobytes() == g.tobytes() and out[P] == total

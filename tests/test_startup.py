@@ -1,16 +1,20 @@
-"""Start-up: `relu_core` loads scipy's CSR kernels without importing ``scipy.sparse``.
+"""Start-up: what a fresh process imports.
 
-A fresh process loads ``scipy.sparse._sparsetools`` from its file; one that
+`relu_core` loads scipy's CSR kernels without importing ``scipy.sparse``:
+a fresh process loads ``scipy.sparse._sparsetools`` from its file; one that
 has already imported ``scipy.sparse``, or cannot load the file, takes the
 normal import.  Both paths must bind the same C functions and give the same
-bytes.  Each case runs in a fresh child process, where nothing imported
-earlier decides the path.
+bytes.  The knapsack path leaves ``co_builders`` unloaded until one of its
+names is used.  Each case runs in a fresh child process, where nothing
+imported earlier decides the path.
 """
 
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 from conftest import SRC
 
@@ -114,3 +118,23 @@ def test_verify_passes_on_both_paths():
         assert all(s["failures"] == 0 for s in summary["suites"].values())
         reports.append(out)
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("statement", ["import dpnets", "import dpnets.cli", "from dpnets import verify"])
+def test_knapsack_imports_leave_co_builders_out(statement):
+    out = run_python(["-c", f"{statement}\nimport sys\nprint('dpnets.co_builders' in sys.modules)"])
+    assert out.strip() == "False"
+
+
+def test_co_names_resolve_on_first_use():
+    out = run_python(["-c", (
+        "import json, sys\n"
+        "import dpnets\n"
+        "first = dpnets.run_tsp\n"
+        "loaded = 'dpnets.co_builders' in sys.modules\n"
+        "from dpnets import co_builders\n"
+        "print(json.dumps({'loaded': loaded, 'first': first is co_builders.run_tsp,\n"
+        "    'differ': [n for n in co_builders.__all__ if getattr(dpnets, n) is not getattr(co_builders, n)],\n"
+        "    'unknown': hasattr(dpnets, 'no_such_name')}))\n"
+    )])
+    assert json.loads(out) == {"loaded": True, "first": True, "differ": [], "unknown": False}
