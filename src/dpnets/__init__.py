@@ -38,7 +38,7 @@ from .knapsack_oracles import (
     fptas_reference,
     optimum_value,
 )
-from .relu_core import NetworkStats, ReluNetwork, min2_gadget, min_n_gadget, unfold
+from .relu_core import NetworkStats, ReluNetwork, min_n_gadget, unfold
 
 __version__ = "0.1.0"
 

@@ -287,7 +287,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("bench", help="width-versus-quality sweep as CSV")
-    p.add_argument("--suite", choices=["knapsack-tradeoff"], default="knapsack-tradeoff")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--p-star", type=int, default=30)

@@ -287,9 +287,9 @@ def run_apsp(graph: WeightedGraph) -> np.ndarray:
 # -- constrained shortest paths ------------------------------------------------
 
 
-def enumerate_csp_lengths(graph: WeightedGraph, limit, tol: float = RESOURCE_TOL) -> dict:
+def enumerate_csp_lengths(graph: WeightedGraph, limit) -> dict:
     """Oracle: per vertex, the least path length whose resource stays within
-    `limit`, by exhaustive DFS over simple paths from the source.
+    `limit` (up to RESOURCE_TOL), by exhaustive DFS over simple paths from the source.
 
     Cycles never help (lengths >= 1, resources >= 0), so simple paths
     suffice.  Returns {vertex: int length or None}; the source maps to 0.
@@ -310,7 +310,7 @@ def enumerate_csp_lengths(graph: WeightedGraph, limit, tol: float = RESOURCE_TOL
                 continue
             nl = length + c[v][u]
             nr = resource + r[v][u]
-            if nr > limit + tol:
+            if nr > limit + RESOURCE_TOL:
                 continue
             if best[u] is None or nl < best[u]:
                 best[u] = nl
@@ -343,9 +343,6 @@ class CspNetwork:
     @property
     def targets(self):
         return [v for v in range(self.n) if v != self.source]
-
-    def output_index(self, c: int, v: int) -> int:
-        return (c - 1) * (self.n - 1) + self.targets.index(v)
 
     def input_vector(self, graph: WeightedGraph) -> np.ndarray:
         off = _offdiag(graph.lengths)
@@ -548,13 +545,10 @@ def run_csp(graph: WeightedGraph, c_star: int, limit) -> dict:
     if not 0 <= limit < network.big_r:
         raise ValueError(f"resource limit must lie in [0, {network.big_r})")
     out = network.net.evaluate(network.input_vector(graph))
+    within = out.reshape(c_star, n - 1) <= limit + RESOURCE_TOL  # row c - 1: f(c, v) per target v
     answers: dict = {graph.source: 0}
-    for v in network.targets:
-        answers[v] = None
-        for c in range(1, c_star + 1):
-            if out[network.output_index(c, v)] <= limit + RESOURCE_TOL:
-                answers[v] = c
-                break
+    for v, hit, c in zip(network.targets, within.any(axis=0).tolist(), within.argmax(axis=0).tolist()):
+        answers[v] = c + 1 if hit else None
     return answers
 
 
@@ -584,12 +578,6 @@ class TspNetwork:
 
     net: ReluNetwork
     n: int
-
-    def input_vector(self, dist) -> np.ndarray:
-        d = np.asarray(dist, dtype=np.float64)
-        if d.shape != (self.n, self.n):
-            raise ValueError("distance matrix shape mismatch")
-        return _offdiag(d)
 
 
 def build_tsp_network(n: int) -> TspNetwork:
@@ -658,11 +646,22 @@ def _plus_input(f, idx, inputs):
 
 
 def run_tsp(dist) -> float:
-    """Optimal tour length of a complete directed distance matrix."""
+    """Optimal tour length of a complete directed distance matrix.
+
+    With M = max|distance| off the diagonal, every sum the network forms
+    stays within 2 n M in size, partial sums included: each f(T, v) and
+    the tour is a path of at most n distances, and a row ``b - a`` of the
+    minimum tree adds up two such paths' inputs and then, round by round,
+    the neurons that turn b and a into minima over paths.  A matrix where
+    2 n M reaches 2**53 times the finest dyadic quantum of its distances
+    is refused as in :func:`run_bellman_ford`, off-grid ones like 0.1 too.
+    """
     d = np.asarray(dist, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError("distance matrix must be square")
     if not np.all(np.isfinite(d)):
         raise ValueError("distances must be finite")
-    network = build_tsp_network(d.shape[0])
-    return float(network.net.evaluate(network.input_vector(d))[0])
+    n = d.shape[0]
+    off = _offdiag(d)
+    _check_exact_range(off, 2 * n * np.max(np.abs(off), initial=0.0), f"a tour over {n} vertices")
+    return float(build_tsp_network(n).net.evaluate(off)[0])

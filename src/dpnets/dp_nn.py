@@ -143,19 +143,7 @@ def run_recurrent(cell: DpCell, inst: KnapsackInstance, record_hidden: bool = Fa
     fine: no gate closes, so the cell computes min(f_in(p), s_in),
     matching the truncated recursion's convention for p - p_i <= 0.
     """
-    state = np.full(cell.p_star, 2.0)
-    states = [state]
-    hidden = [] if record_hidden else None
-    for p_i, s_i in zip(inst.profits, inst.sizes):
-        x = np.concatenate([state, [float(p_i), s_i]])
-        if record_hidden:
-            layers = cell.net.evaluate_layers(x)
-            hidden.append(layers)
-            state = layers[-1]
-        else:
-            state = cell.net.evaluate(x)
-        states.append(state)
-    return DpTrace(states, hidden)
+    return DpTrace(*cell.net.run(np.full(cell.p_star, 2.0), zip(inst.profits, inst.sizes), record_hidden))
 
 
 def solve_exact(inst: KnapsackInstance, p_star: int | None = None) -> Solution:
@@ -183,7 +171,7 @@ def solve_exact(inst: KnapsackInstance, p_star: int | None = None) -> Solution:
 def unfold_dp(p_star: int, n: int) -> ReluNetwork:
     """Feedforward network executing n dynamic-program steps (depth 4n).
 
-    All p_star state outputs feed back onto the state inputs, so the
+    The cell's p_star outputs feed back onto its state inputs, so the
     unfolded input layout is the initial column (2, ..., 2) followed by
     the item stream p_1, s_1, ..., p_n, s_n; see :func:`dp_unfolded_input`.
     """
@@ -191,12 +179,9 @@ def unfold_dp(p_star: int, n: int) -> ReluNetwork:
         raise ValueError("need at least one step")
     check_arc_budget(n * _cell_arcs(p_star), f"{n} unfolded steps of the p_star = {p_star} cell")
     cell = build_dp_cell(p_star)
-    return unfold(cell.net, n, {o: o for o in range(p_star)})
+    return unfold(cell.net, n)
 
 
 def dp_unfolded_input(inst: KnapsackInstance, p_star: int) -> np.ndarray:
     """Input vector for :func:`unfold_dp`: initial state then the item stream."""
-    parts = [np.full(p_star, 2.0)]
-    for p_i, s_i in zip(inst.profits, inst.sizes):
-        parts.append(np.array([float(p_i), s_i]))
-    return np.concatenate(parts)
+    return np.concatenate([np.full(p_star, 2.0), *zip(inst.profits, inst.sizes)])

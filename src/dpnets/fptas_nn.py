@@ -221,25 +221,10 @@ def run_fptas(cell: FptasCell, inst: KnapsackInstance, record_hidden: bool = Fal
     """
     P = cell.resolution
     check_exact_range(inst, P)
-    state = np.full(P, 2.0)
-    total = 0.0
-    columns = [state]
-    sums = [0]
-    hidden = [] if record_hidden else None
-    for p_i, s_i in zip(inst.profits, inst.sizes):
-        x = np.concatenate([state, [total, float(p_i), s_i]])
-        if record_hidden:
-            layers = cell.net.evaluate_layers(x)
-            hidden.append(layers)
-            out = layers[-1]
-        else:
-            out = cell.net.evaluate(x)
-        state, total = out[:P], out[P]
-        columns.append(state)
-        sums.append(int(total))
+    states, hidden = cell.net.run(np.append(np.full(P, 2.0), 0.0), zip(inst.profits, inst.sizes), record_hidden)
     values = np.zeros((P + 1, inst.n + 1))
-    values[1:, :] = np.column_stack(columns)
-    return FptasTrace(FptasTable(P, values, tuple(sums)), hidden)
+    values[1:, :] = np.column_stack(states)[:P]
+    return FptasTrace(FptasTable(P, values, tuple(int(s[P]) for s in states)), hidden)
 
 
 def fptas_backtrack(table: FptasTable, inst: KnapsackInstance, target_row: int) -> Solution:

@@ -59,7 +59,6 @@ __all__ = [
     "NetworkStats",
     "ReluNetwork",
     "check_arc_budget",
-    "min2_gadget",
     "min_n_gadget",
     "min_reduce_many",
     "network_from_blocks",
@@ -350,6 +349,26 @@ class ReluNetwork:
         off = self._bounds
         return [outs[off[l] : off[l + 1]].copy() for l in range(len(self.layer_sizes))]
 
+    def run(self, state, inputs, record_hidden: bool = False):
+        """Step the network as a recurrent cell: its outputs are its state and
+        feed back onto its first ``n_outputs`` inputs, and each row of
+        `inputs` fills the rest of one step's inputs.
+
+        Returns ``(states, hidden)``: ``states[i]`` is the state after i
+        steps (``states[0]`` is `state`); with `record_hidden`, ``hidden[i]``
+        is step i + 1's :meth:`evaluate_layers` result, else ``hidden`` is None.
+        """
+        states = [state]
+        hidden = [] if record_hidden else None
+        for row in inputs:
+            x = np.concatenate([states[-1], row])
+            if record_hidden:
+                hidden.append(self.evaluate_layers(x))
+                states.append(hidden[-1][-1])
+            else:
+                states.append(self.evaluate(x))
+        return states, hidden
+
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -600,15 +619,6 @@ def min_reduce_many(layers: list, rows, m: int):
     return parts[-1]
 
 
-def min2_gadget() -> ReluNetwork:
-    """The two-input minimum network: y = x2 - max(0, x2 - x1) = min(x1, x2).
-
-    Depth 2, width 1, size 1; all biases zero, so the output scales
-    linearly under non-negative input scaling.
-    """
-    return min_n_gadget(2)
-
-
 def min_n_gadget(n: int) -> ReluNetwork:
     """Exact minimum of n reals as a balanced tree of pairwise minima.
 
@@ -631,75 +641,45 @@ def min_n_gadget(n: int) -> ReluNetwork:
 # -- recurrent unfolding ---------------------------------------------------
 
 
-def unfold(cell: ReluNetwork, steps: int, feedback: dict) -> ReluNetwork:
-    """Unroll `steps` sequential applications of `cell` into one network.
+def unfold(cell: ReluNetwork, steps: int) -> ReluNetwork:
+    """Unroll `steps` applications of the recurrent `cell` into one network.
 
-    `feedback` maps output indices to input indices (injectively); those
-    inputs receive the previous step's outputs, the remaining inputs are
-    fresh per-step external inputs.  The unfolded input layout is::
+    As in :meth:`ReluNetwork.run`, the cell's outputs are its state and
+    feed back onto its first ``n_outputs`` inputs; the other inputs are
+    fresh at every step.  The unfolded input layout is::
 
-        [initial values of the fed-back inputs, in increasing input order]
-        + [step-1 externals, in increasing input order]
-        + [step-2 externals] + ...
+        [initial state] + [step-1 fresh inputs] + [step-2 fresh inputs] + ...
 
-    and the unfolded outputs are the final step's cell outputs.
+    and the unfolded outputs are the final state.  A cell with more
+    outputs than inputs is refused with :class:`ConstructionError`.
 
-    Between steps, the fed-back outputs are materialized as rectified
-    relay neurons so that every step contributes exactly `cell.depth`
-    layers (unfolded depth = steps * cell depth).  The relays require the
-    fed-back values to be non-negative at intermediate steps; every state
-    vector in this package (truncated table values in ]0, 2], running
-    profit sums) satisfies that.  Relay j carries the j-th smallest
-    fed-back output.
-    The result has at most ``steps * cell.num_arcs`` arcs (exactly that
-    many when every output is fed back), checked against the budget first.
+    Between steps the cell's output layer is rectified into relay
+    neurons, so every step contributes exactly `cell.depth` layers
+    (unfolded depth = steps * cell depth).  The relays require the state
+    to be non-negative at intermediate steps; every state vector in this
+    package (truncated table values in ]0, 2], running profit sums)
+    satisfies that.  The result has at most ``steps * cell.num_arcs``
+    arcs (exactly that many when the cell repeats no arc and has no zero
+    weight), checked against the budget first.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    check_arc_budget(steps * cell.num_arcs, f"unfolding {steps} steps")
     n_in, n_out = cell.n_inputs, cell.n_outputs
-    pairs = sorted(feedback.items())
-    out_idx = [o for o, _ in pairs]
-    in_idx = [i for _, i in pairs]
-    if len(set(in_idx)) != len(in_idx):
-        raise ConstructionError("feedback must map outputs to distinct inputs")
-    if any(not 0 <= o < n_out for o in out_idx) or any(not 0 <= i < n_in for i in in_idx):
-        raise ConstructionError("feedback index out of range")
-    fed = sorted(in_idx)
-    ext = sorted(set(range(n_in)) - set(fed))
-
-    # Each step's layers are the cell's, with sources remapped; arcs the
-    # cell repeats between two neurons merge here, once.
-    k = cell.depth
+    if n_out > n_in:
+        raise ConstructionError(f"a cell's {n_out} outputs cannot feed back onto its {n_in} inputs")
+    check_arc_budget(steps * cell.num_arcs, f"unfolding {steps} steps")
+    # Each step's layers are the cell's, merged once (arcs the cell repeats
+    # between two neurons merge here).  At step t, a source neuron i of
+    # layer l >= 1 is neuron i of layer l + t k; state input i is neuron i
+    # of layer t k (the previous step's relays, or the initial state at
+    # t = 0); fresh input i is input i + t (n_in - n_out).
+    k, fresh = cell.depth, n_in - n_out
     rows = []
     for l, bias in enumerate(cell.biases_by_layer, start=1):
         into = cell._tl == l
-        rows.append(_merge(cell._ti[into], cell._sl[into], cell._si[into], cell._w[into], bias))
-    relay = _take(rows[-1:], out_idx)
-    # Where cell input i comes from in the current step: neuron (src_layer[i], src_index[i]).
-    src_layer = np.zeros(n_in, dtype=np.int64)
-    src_index = np.zeros(n_in, dtype=np.int64)
-    src_index[fed] = np.arange(len(fed))
-    src_index[ext] = len(fed) + np.arange(len(ext))
-    relay_of = np.zeros(n_in, dtype=np.int64)
-    relay_of[in_idx] = np.arange(len(pairs))
-
-    def step_layer(pre, t: int):
-        [(sl, si, row, coef)], const = pre
-        from_input = sl == 0
-        inputs = si[from_input]
-        sl = sl + t * k
-        si = si.copy()
-        sl[from_input] = src_layer[inputs]
-        si[from_input] = src_index[inputs]
-        return [(sl, si, row, coef)], const
-
-    layers = []
-    for t in range(steps):
-        if t:
-            src_layer[fed] = t * k
-            src_index[fed] = relay_of[fed]
-            src_index[ext] += len(ext)
-        layers += [step_layer(r, t) for r in rows[:-1]]
-        layers.append(step_layer(relay if t < steps - 1 else rows[-1], t))
-    return network_from_blocks(len(fed) + steps * len(ext), layers)
+        [(sl, si, row, coef)], const = _merge(cell._ti[into], cell._sl[into], cell._si[into], cell._w[into], bias)
+        is_fresh = (sl == 0) & (si >= n_out)
+        rows.append((sl, si, row, coef, const, np.where(is_fresh, 0, k), np.where(is_fresh, fresh, 0)))
+    layers = [([(sl + t * dl, si + t * di, row, coef)], const)
+              for t in range(steps) for sl, si, row, coef, const, dl, di in rows]
+    return network_from_blocks(n_out + steps * fresh, layers)

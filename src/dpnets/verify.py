@@ -20,7 +20,7 @@ import numpy as np
 from . import dp_nn, fptas_nn, instance_gen
 from .instance_gen import GRID_QUANTUM, GenConfig, SplitMix64
 from .knapsack_oracles import KnapsackInstance, brute_force, dp_table, fptas_reference
-from .relu_core import ReluNetwork, min2_gadget, min_n_gadget, unfold
+from .relu_core import ReluNetwork, min_n_gadget, unfold
 
 __all__ = [
     "SuiteResult",
@@ -159,7 +159,7 @@ def suite_relu(trials: int, seed: int) -> SuiteResult:
         # unfolded running minimum over a non-negative stream
         steps = rng.randint(2, 5)
         stream = grid_values(rng, steps + 1, 0, 2**27)
-        unfolded = unfold(min2_gadget(), steps, {0: 0})
+        unfolded = unfold(min_n_gadget(2), steps)
         r.ok(unfolded.evaluate(stream)[0] == float(np.min(stream)), "unfold mismatch")
         doc = net.to_json_dict()
         r.ok(ReluNetwork.from_json_dict(doc) == net, "serialization round trip broke")

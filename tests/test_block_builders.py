@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import reference_builders as ref
 from dpnets import co_builders, dp_nn
 from dpnets.instance_gen import SplitMix64
-from dpnets.relu_core import ReluNetwork, _merge, min2_gadget, min_n_gadget, unfold
+from dpnets.relu_core import ReluNetwork, _merge, min_n_gadget, unfold
 
 
 def assert_same(new, old):
@@ -101,17 +101,23 @@ def test_csp_network(n):
 # -- unfolding ---------------------------------------------------------------
 
 
+def same_unfolding(cell, steps):
+    """`unfold` against the reference under the identity map: output o onto input o."""
+    assert_same(unfold(cell, steps), ref.unfold(cell, steps, {o: o for o in range(cell.n_outputs)}))
+
+
 @pytest.mark.parametrize("p_star", range(1, 16))
 def test_unfold_dp_cell(p_star):
     cell = dp_nn.build_dp_cell(p_star).net
-    feedback = {o: o for o in range(p_star)}
     for steps in (1, 2, 3, 7):
-        assert_same(unfold(cell, steps, feedback), ref.unfold(cell, steps, feedback))
+        same_unfolding(cell, steps)
 
 
 def random_cell(rng):
-    """A random layered network with skip arcs, zero weights and repeated arcs."""
-    sizes = [rng.randint(1, 4)] + [rng.randint(0, 4) for _ in range(rng.randint(0, 3))] + [rng.randint(1, 3)]
+    """A random layered network with skip arcs, zero weights and repeated arcs,
+    and no more outputs than inputs."""
+    n_in = rng.randint(1, 4)
+    sizes = [n_in] + [rng.randint(0, 4) for _ in range(rng.randint(0, 3))] + [rng.randint(1, min(n_in, 3))]
     arcs = []
     for tl in range(1, len(sizes)):
         for ti in range(sizes[tl]):
@@ -121,13 +127,6 @@ def random_cell(rng):
                     arcs.append((sl, rng.randint(0, sizes[sl] - 1), tl, ti, rng.randint(-3, 3) * 0.5))
     biases = [(l, i, rng.randint(-2, 2) * 0.25) for l in range(1, len(sizes)) for i in range(sizes[l])]
     return ReluNetwork(sizes, arcs, biases)
-
-
-def random_feedback(rng, cell):
-    outs = [o for o in range(cell.n_outputs) if rng.randint(0, 2)]
-    ins = list(range(cell.n_inputs))
-    rng.shuffle(ins)
-    return dict(zip(outs, ins))
 
 
 def shuffled(cell, rng):
@@ -140,36 +139,30 @@ def test_unfold_random_cells():
     rng = SplitMix64(61)
     for _ in range(40):
         cell = random_cell(rng)
-        feedback = random_feedback(rng, cell)
         steps = rng.randint(1, 4)
-        assert_same(unfold(cell, steps, feedback), ref.unfold(cell, steps, feedback))
-        mixed = shuffled(cell, rng)
-        assert_same(unfold(mixed, steps, feedback), ref.unfold(mixed, steps, feedback))
+        same_unfolding(cell, steps)
+        same_unfolding(shuffled(cell, rng), steps)
+
+
+# no fresh inputs: two outputs onto two inputs
+NO_FRESH_INPUTS = ReluNetwork(
+    [2, 2, 2],
+    [(0, 0, 1, 0, 1.0), (0, 1, 1, 1, -0.5), (1, 1, 2, 0, 2.0), (1, 0, 2, 1, 1.0), (0, 1, 2, 1, 0.25)],
+    [(1, 1, 0.5), (2, 0, -1.0)],
+)
 
 
 @pytest.mark.parametrize(
-    "cell, steps, feedback",
+    "cell, steps",
     [
-        (min2_gadget(), 3, {0: 0}),
-        (min2_gadget(), 2, {0: 1}),
-        (min_n_gadget(1), 3, {0: 0}),  # depth 1: the relays are the only hidden layers
-        (min_n_gadget(3), 2, {}),  # no feedback: empty relay layers
+        (min_n_gadget(2), 3),
+        (min_n_gadget(1), 3),  # depth 1: the relays are the only hidden layers
+        (min_n_gadget(3), 2),
+        (NO_FRESH_INPUTS, 3),
     ],
 )
-def test_unfold_small_cells(cell, steps, feedback):
-    assert_same(unfold(cell, steps, feedback), ref.unfold(cell, steps, feedback))
-
-
-def test_unfold_partial_feedback():
-    # two outputs, only the second fed back, into input 0
-    cell = ReluNetwork(
-        [2, 2, 2],
-        [(0, 0, 1, 0, 1.0), (0, 1, 1, 1, -0.5), (1, 1, 2, 0, 2.0), (1, 0, 2, 1, 1.0), (0, 1, 2, 1, 0.25)],
-        [(1, 1, 0.5), (2, 0, -1.0)],
-    )
-    u = unfold(cell, 3, {1: 0})
-    assert_same(u, ref.unfold(cell, 3, {1: 0}))
-    assert u.layer_sizes == (4, 2, 1, 2, 1, 2, 2)
+def test_unfold_small_cells(cell, steps):
+    same_unfolding(cell, steps)
 
 
 def test_unfold_drops_zero_and_merges_repeated_arcs():
@@ -191,7 +184,7 @@ def test_unfold_drops_zero_and_merges_repeated_arcs():
         "biases": [[1, 0, 0.25]],
     }
     cell = ReluNetwork.from_json_dict(doc)
-    u = unfold(cell, 2, {0: 0})
+    u = unfold(cell, 2)
     assert_same(u, ref.unfold(cell, 2, {0: 0}))
     assert u.num_arcs == 2 * 4
     assert [a[4] for a in u.arcs[:3]] == [1.0, 1.5, 1.0]

@@ -144,6 +144,8 @@ def test_co_runners_refuse_off_grid_lengths():
     for run in (run_bellman_ford, run_apsp):
         with pytest.raises(NumericOverflowError):
             run(g)
+    with pytest.raises(NumericOverflowError):
+        run_tsp(g.lengths)
 
 
 # -- all-pairs shortest paths -----------------------------------------------------
@@ -279,6 +281,30 @@ def test_tsp_random_asymmetric_against_oracle():
         n = 4 + t % 5
         d = gen_graph(n, 10.0, 800 + t).lengths
         assert run_tsp(d) == tsp_brute_force(d)
+
+
+def test_tsp_refuses_distances_past_the_exact_range():
+    # 2 n M = 6 * 2**52 here; unchecked, the network returned 4.0 against the oracle's 5.0
+    with pytest.raises(NumericOverflowError):
+        run_tsp(_triangle(2**52, 3).lengths)
+
+
+def test_tsp_exact_at_the_largest_admitted_magnitude():
+    far = (2**53 - 1) // 6  # 2 n M = 6 M on three vertices, below 2**53
+    d = [[0, far, far - 1], [far - 2, 0, far], [far, far - 3, 0]]
+    assert run_tsp(d) == tsp_brute_force(d) == 3 * far - 6
+    with pytest.raises(NumericOverflowError):
+        run_tsp(_triangle(far + 1, 3).lengths)
+
+
+def test_tsp_refuses_off_grid_distances():
+    # unchecked, 108 of these 200 matrices gave a tour other than the oracle's
+    rng = np.random.default_rng(0)
+    for t in range(200):
+        d = rng.uniform(0.0, 10.0, (3 + t % 4,) * 2)
+        np.fill_diagonal(d, 0.0)
+        with pytest.raises(NumericOverflowError):
+            run_tsp(d)
 
 
 def test_tsp_network_depth_formula():

@@ -21,7 +21,7 @@ from test_serialization import layered_networks
 from dpnets import co_builders, dp_nn, fptas_nn
 from dpnets.errors import NumericOverflowError, ShapeMismatchError, SizeGuardError
 from dpnets.instance_gen import SplitMix64, gen_graph
-from dpnets.relu_core import MAX_ARCS, ReluNetwork, min2_gadget, min_n_gadget
+from dpnets.relu_core import MAX_ARCS, ReluNetwork, min_n_gadget
 from dpnets.verify import grid_values
 
 
@@ -89,7 +89,7 @@ def test_co_builder_networks():
 
 
 def test_unfoldings_and_min_gadgets():
-    nets = [min2_gadget(), *(min_n_gadget(n) for n in (1, 3, 8, 13))]
+    nets = [min_n_gadget(2), *(min_n_gadget(n) for n in (1, 3, 8, 13))]
     nets += [dp_nn.unfold_dp(p_star, steps) for p_star, steps in ((1, 1), (3, 4), (6, 7))]
     for seed, net in enumerate(nets):
         assert_engine_matches(net, grid_inputs(net, 200 + seed))
@@ -211,7 +211,7 @@ def test_summation_order():
 
 
 def test_batch_shape_errors():
-    net = min2_gadget()
+    net = min_n_gadget(2)
     for bad in ([1.0, 2.0], np.zeros((3, 3)), np.zeros((2, 2, 2)), 1.0):
         with pytest.raises(ShapeMismatchError):
             net.evaluate_batch(bad)
@@ -245,8 +245,8 @@ def overflow_cases():
         (overflowing, [1e10], 1),
         (hidden, [1.0], 2),
         (nan, [1.0], 2),
-        (min2_gadget(), [np.nan, 1.0], 1),
-        (min2_gadget(), [np.inf, 1.0], 1),
+        (min_n_gadget(2), [np.nan, 1.0], 1),
+        (min_n_gadget(2), [np.inf, 1.0], 1),
     ]
 
 

@@ -11,13 +11,14 @@ from dpnets.errors import (
     SizeGuardError,
 )
 from dpnets import relu_core
-from dpnets.instance_gen import SplitMix64
+from dpnets.dp_nn import build_dp_cell
+from dpnets.fptas_nn import build_fptas_cell
+from dpnets.instance_gen import GenConfig, SplitMix64, gen_knapsack
 from dpnets.relu_core import (
     MAX_ARCS,
     ReluNetwork,
     _merge,
     _min_arcs,
-    min2_gadget,
     min_n_gadget,
     unfold,
 )
@@ -26,7 +27,7 @@ from reference_builders import NetworkBuilder
 
 
 def test_min2_examples():
-    g = min2_gadget()
+    g = min_n_gadget(2)
     assert g.evaluate([3.0, 5.0])[0] == 3.0
     assert g.evaluate([7.0, 7.0])[0] == 7.0
     # works on negatives: the output layer applies no rectifier
@@ -37,7 +38,7 @@ def test_min2_examples():
 
 
 def test_min2_stats():
-    s = min2_gadget().stats()
+    s = min_n_gadget(2).stats()
     assert (s.depth, s.width, s.size, s.num_arcs) == (2, 1, 1, 4)
 
 
@@ -154,7 +155,7 @@ def test_piecewise_linearity_spot_check():
 
 def test_evaluate_shape_error():
     with pytest.raises(ShapeMismatchError):
-        min2_gadget().evaluate([1.0, 2.0, 3.0])
+        min_n_gadget(2).evaluate([1.0, 2.0, 3.0])
 
 
 def test_overflow_error():
@@ -179,14 +180,14 @@ def test_construction_validation():
 
 
 def test_unfold_min2_chain():
-    u = unfold(min2_gadget(), 2, {0: 0})
+    u = unfold(min_n_gadget(2), 2)
     assert u.evaluate([9.0, 4.0, 6.0])[0] == 4.0
     assert u.depth == 4 and u.size == 3
 
 
 def test_unfold_one_step_is_identity_modulo_layout():
-    cell = min2_gadget()
-    u = unfold(cell, 1, {0: 0})
+    cell = min_n_gadget(2)
+    u = unfold(cell, 1)
     rng = SplitMix64(31)
     for _ in range(50):
         a, b = grid_values(rng, 2, -(2**27), 2**27)
@@ -196,7 +197,7 @@ def test_unfold_one_step_is_identity_modulo_layout():
 
 def _random_cell(rng, n_in, n_out):
     """Random two-hidden-layer cell with non-negative outputs (outputs relay a
-    rectified layer), so it can be unfolded with any feedback."""
+    rectified layer), so its state stays non-negative when it is unfolded."""
     b = NetworkBuilder(n_in)
     refs = b.input_refs()
     b.new_layer()
@@ -221,25 +222,21 @@ def _random_cell(rng, n_in, n_out):
 def test_unfold_equals_sequential_application():
     rng = SplitMix64(47)
     for trial in range(25):
-        n_in, n_out = 3, 2
+        n_in, n_out = 3, 2 if trial % 2 else 1
         cell = _random_cell(rng, n_in, n_out)
-        feedback = {0: 1, 1: 2} if trial % 2 else {0: 0}
         steps = 1 + trial % 4
-        u = unfold(cell, steps, feedback)
-        fed = sorted(feedback.values())
-        ext = [i for i in range(n_in) if i not in set(fed)]
-        init = grid_values(rng, len(fed), 0, 2**26)
-        externals = [grid_values(rng, len(ext), -(2**26), 2**26) for _ in range(steps)]
-        # sequential reference
-        state = dict(zip(fed, init))
+        u = unfold(cell, steps)
+        init = grid_values(rng, n_out, 0, 2**26)
+        externals = [grid_values(rng, n_in - n_out, -(2**26), 2**26) for _ in range(steps)]
+        # sequential reference: output o feeds back onto input o
+        out = init
         for t in range(steps):
             x = np.zeros(n_in)
-            for i in fed:
-                x[i] = state[i]
-            for r, i in enumerate(ext):
-                x[i] = externals[t][r]
+            for i in range(n_out):
+                x[i] = out[i]
+            for r in range(n_in - n_out):
+                x[n_out + r] = externals[t][r]
             out = cell.evaluate(x)
-            state = {i: out[o] for o, i in feedback.items()}
         unfolded_in = np.concatenate([init] + externals)
         got = u.evaluate(unfolded_in)
         assert np.array_equal(got, out)
@@ -247,26 +244,63 @@ def test_unfold_equals_sequential_application():
 
 
 def test_unfold_rejects_bad_feedback():
-    cell = min2_gadget()
-    with pytest.raises(ConstructionError):
-        unfold(ReluNetwork([2, 1, 2],
-                           [(0, 0, 1, 0, 1.0), (1, 0, 2, 0, 1.0), (1, 0, 2, 1, 1.0)]),
-               2, {0: 0, 1: 0})  # two outputs onto one input
-    with pytest.raises(ConstructionError):
-        unfold(cell, 2, {0: 5})
+    # three outputs cannot feed back onto two inputs
+    with pytest.raises(ConstructionError, match="cannot feed back"):
+        unfold(ReluNetwork([2, 1, 3],
+                           [(0, 0, 1, 0, 1.0), (1, 0, 2, 0, 1.0), (1, 0, 2, 1, 1.0), (1, 0, 2, 2, 1.0)]), 2)
     with pytest.raises(ValueError):
-        unfold(cell, 0, {0: 0})
+        unfold(min_n_gadget(2), 0)
 
 
 def test_unfold_arc_budget():
-    cell = min2_gadget()
+    cell = min_n_gadget(2)
     steps = MAX_ARCS // cell.num_arcs
     with pytest.raises(SizeGuardError):
-        unfold(cell, steps + 1, {0: 0})
+        unfold(cell, steps + 1)
+
+
+def knapsack_runs():
+    """(cell network, initial state, item rows): the exact cell at p* = 1..20 and
+    the rounded cell at P = 3, 7, 12, each over generated instances."""
+    for p_star in range(1, 21):
+        for seed in range(5):
+            inst = gen_knapsack(GenConfig(10 * p_star + seed, p_star))
+            yield build_dp_cell(p_star).net, np.full(p_star, 2.0), list(zip(inst.profits, inst.sizes))
+    for P in (3, 7, 12):
+        for total in range(1, 61):
+            inst = gen_knapsack(GenConfig(100 * P + total, total))
+            yield build_fptas_cell(P).net, np.append(np.full(P, 2.0), 0.0), list(zip(inst.profits, inst.sizes))
+
+
+def test_unfold_equals_run_on_the_knapsack_cells():
+    # One recurrent convention: a cell's outputs feed back onto its first inputs,
+    # in the unfolded network as in the stepping loop, bit for bit.
+    for net, start, rows in knapsack_runs():
+        states, hidden = net.run(start, rows)
+        assert hidden is None and len(states) == len(rows) + 1
+        got = unfold(net, len(rows)).evaluate(np.concatenate([start, *rows]))
+        assert got.tobytes() == states[-1].tobytes()
+
+
+@pytest.mark.parametrize(
+    "cell, start",
+    [(build_dp_cell(5).net, np.full(5, 2.0)), (build_fptas_cell(5).net, np.append(np.full(5, 2.0), 0.0))],
+    ids=["exact", "rounded"],
+)
+def test_run_records_one_evaluate_layers_result_per_step(cell, start):
+    rows = [(3, 0.25), (1, 0.5), (4, 0.125), (2, 0.75)]
+    states, hidden = cell.run(start, rows, record_hidden=True)
+    assert len(hidden) == len(rows)
+    for before, row, layers, after in zip(states, rows, hidden, states[1:]):
+        want = cell.evaluate_layers(np.concatenate([before, row]))
+        assert [a.tobytes() for a in layers] == [a.tobytes() for a in want]
+        assert layers[-1].tobytes() == after.tobytes()
+    plain, none = cell.run(start, rows)
+    assert none is None and [s.tobytes() for s in plain] == [s.tobytes() for s in states]
 
 
 def test_serialization_round_trip():
-    nets = [min2_gadget(), min_n_gadget(7)]
+    nets = [min_n_gadget(2), min_n_gadget(7)]
     b = NetworkBuilder(2)
     x, y = b.input_refs()
     b.new_layer()
