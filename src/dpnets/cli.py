@@ -147,13 +147,10 @@ def cmd_build(args) -> int:
     elif kind == "apsp":
         net = co_builders.build_min_plus_square_cell(_require(args.n, "--n"))
     elif kind == "csp":
-        net = co_builders.build_csp_network(
-            _require(args.n, "--n"),
-            _require(args.c_star, "--c-star"),
-            args.resource_bound,
-        ).net
+        net = co_builders.build_csp_network(_require(args.n, "--n"), _require(args.c_star, "--c-star"),
+                                            args.resource_bound)
     elif kind == "tsp":
-        net = co_builders.build_tsp_network(_require(args.n, "--n")).net
+        net = co_builders.build_tsp_network(_require(args.n, "--n"))
     else:  # pragma: no cover - argparse restricts choices
         raise SystemExit(f"unknown kind {kind}")
     s = net.stats()

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
@@ -46,10 +45,8 @@ from .relu_core import (
 )
 
 __all__ = [
-    "CspNetwork",
     "IntSequencePair",
     "ORACLE_MAX_VERTICES",
-    "TspNetwork",
     "WeightedGraph",
     "bellman_ford_distances",
     "big_value",
@@ -144,12 +141,15 @@ def build_lcs_cell(value_bound: int) -> ReluNetwork:
 def run_lcs(pair: IntSequencePair) -> int:
     """Grid application of the cell over i in [m], j in [n]; boundary rows 0.
 
-    The points of one anti-diagonal i + j = d read only earlier
-    diagonals, so each diagonal is one batched evaluation.
+    The cell reads each symbol's rank among both sequences' symbols, a
+    small integer, so its equality gate is exact for any integers.  The
+    points of one anti-diagonal i + j = d read only earlier diagonals, so
+    each diagonal is one batched evaluation.
     """
     m, n = pair.m, pair.n
     cell = build_lcs_cell(max(m, n))
-    x, y = np.array(pair.x, dtype=np.float64), np.array(pair.y, dtype=np.float64)
+    rank = {s: r for r, s in enumerate(sorted(set(pair.x) | set(pair.y)))}
+    x, y = (np.array([rank[s] for s in seq], dtype=np.float64) for seq in (pair.x, pair.y))
     f = np.zeros((m + 1, n + 1))
     for d in range(2, m + n + 1):
         i = np.arange(max(1, d - n), min(m, d - 1) + 1)
@@ -162,8 +162,8 @@ def run_lcs(pair: IntSequencePair) -> int:
 # -- single-source shortest paths (Bellman-Ford) ------------------------------
 
 
-def bellman_ford_distances(graph: WeightedGraph, rounds: int | None = None):
-    """Distances by the textbook recursion d'(v) = min_u(d(u) + c(u, v)).
+def bellman_ford_distances(graph: WeightedGraph):
+    """Distances by the textbook recursion d'(v) = min_u(d(u) + c(u, v)), n - 1 rounds.
 
     Unreached vertices carry math.inf.  The zero diagonal makes the
     recursion non-increasing (the u = v term keeps the current value).
@@ -171,7 +171,7 @@ def bellman_ford_distances(graph: WeightedGraph, rounds: int | None = None):
     n, c = graph.n, graph.lengths
     dist = [math.inf] * n
     dist[graph.source] = 0.0
-    for _ in range(n - 1 if rounds is None else rounds):
+    for _ in range(n - 1):
         dist = [min(dist[u] + c[u][v] for u in range(n)) for v in range(n)]
     return np.asarray(dist)
 
@@ -196,14 +196,14 @@ def build_bellman_ford_cell(graph: WeightedGraph) -> ReluNetwork:
     return _checked(network_from_blocks(n, [*layers, outs]), num_arcs)
 
 
-def run_bellman_ford(graph: WeightedGraph, rounds: int | None = None) -> np.ndarray:
+def run_bellman_ford(graph: WeightedGraph) -> np.ndarray:
     """Network distances from the source after n - 1 relaxation rounds.
 
     The initial state is 0 at the source and BIG elsewhere; results at
-    or above BIG mean "not reachable within the given rounds".
+    or above BIG mean "not reachable".
 
-    With M = max|length| and R rounds, states lie in [-R M, BIG], and every
-    sum the cell forms stays within BIG + (R + 3) M in size, partial sums
+    With M = max|length|, states lie in [-(n - 1) M, BIG], and every sum
+    the cell forms stays within BIG + (n + 2) M in size, partial sums
     before a row's lengths (its biases) are added included.  A graph where
     that reaches 2**53 times the finest dyadic quantum of its lengths and
     BIG is refused with NumericOverflowError, off-grid lengths like 0.1 too.
@@ -211,14 +211,13 @@ def run_bellman_ford(graph: WeightedGraph, rounds: int | None = None) -> np.ndar
     n = graph.n
     if not np.all(np.diag(graph.lengths) == 0.0):
         raise ValueError("relaxation rounds need a zero diagonal")
-    rounds = n - 1 if rounds is None else rounds
     big = big_value(graph.lengths)
-    magnitude = big + (rounds + 3) * np.max(np.abs(graph.lengths))
-    _check_exact_range(np.append(graph.lengths, big), magnitude, f"{rounds} relaxation rounds")
+    magnitude = big + (n + 2) * np.max(np.abs(graph.lengths))
+    _check_exact_range(np.append(graph.lengths, big), magnitude, f"{n - 1} relaxation rounds")
     cell = build_bellman_ford_cell(graph)
     state = np.full(n, big)
     state[graph.source] = 0.0
-    for _ in range(rounds):
+    for _ in range(n - 1):
         state = cell.evaluate(state)
     return state
 
@@ -320,35 +319,6 @@ def enumerate_csp_lengths(graph: WeightedGraph, limit) -> dict:
     return {v: (d if d is None else int(round(d))) for v, d in best.items()}
 
 
-@dataclass(frozen=True)
-class CspNetwork:
-    """Length-indexed constrained-shortest-path network.
-
-    Takes the length and resource matrices as inputs (row-major off-
-    diagonal entries, lengths first) and outputs the truncated table
-    f(c, v) = least resource of a source-to-v path of length at most c,
-    for c in [c_star] and every non-source v, in c-major order.  BIG_R
-    is the resource infinity surrogate; entries at or above it mean "no
-    such path".  Valid while resource entries stay within
-    ``resource_bound``.
-    """
-
-    net: ReluNetwork
-    n: int
-    c_star: int
-    source: int
-    big_r: float
-    resource_bound: float
-
-    @property
-    def targets(self):
-        return [v for v in range(self.n) if v != self.source]
-
-    def input_vector(self, graph: WeightedGraph) -> np.ndarray:
-        off = _offdiag(graph.lengths)
-        return np.concatenate([off, _offdiag(graph.resources)])
-
-
 def _offdiag(matrix) -> np.ndarray:
     m = np.asarray(matrix, dtype=np.float64)
     return m[~np.eye(m.shape[0], dtype=bool)]
@@ -445,8 +415,15 @@ def _edge(n: int, u, v):
     return u * (n - 1) + v - (v > u)
 
 
-def build_csp_network(n: int, c_star: int, resource_bound: float, source: int = 0) -> CspNetwork:
+def build_csp_network(n: int, c_star: int, resource_bound: float, source: int = 0) -> ReluNetwork:
     """Network executing f(c, v) = min(f(c-1, v), min_u(f(c - c_uv, u) + r_uv)).
+
+    The inputs are the row-major off-diagonal lengths, then the resources
+    in the same order.  Output row c - 1 of the (c_star, n - 1) table holds
+    f(c, v), the least resource of a source-to-v path of length at most c,
+    for the targets v ascending, the source skipped.  BIG_R =
+    2 (n resource_bound + 1) means "no such path", valid while resources
+    stay within ``resource_bound``.
 
     The arc length c_uv is an input, so which earlier table entry the
     recursion reads is decided by integer gates exactly as in the
@@ -523,7 +500,7 @@ def build_csp_network(n: int, c_star: int, resource_bound: float, source: int = 
         parts.append(min_reduce_many(layers, _take([*parts, hop_rows], group), n + 1))
 
     net = network_from_blocks(2 * edges, [*layers, _take(parts, np.arange(2, 2 + c_star * t))])
-    return CspNetwork(_checked(net, num_arcs), n, c_star, source, big_r, float(resource_bound))
+    return _checked(net, num_arcs)
 
 
 def run_csp(graph: WeightedGraph, c_star: int, limit) -> dict:
@@ -542,14 +519,14 @@ def run_csp(graph: WeightedGraph, c_star: int, limit) -> dict:
         raise ValueError(f"length {lengths[u, v]} at ({u}, {v}) is not a positive integer")
     resource_bound = float(np.max(graph.resources))
     network = build_csp_network(n, c_star, resource_bound, graph.source)
-    if not 0 <= limit < network.big_r:
-        raise ValueError(f"resource limit must lie in [0, {network.big_r})")
-    out = network.net.evaluate(network.input_vector(graph))
+    big_r = _unreachable(n, resource_bound)
+    if not 0 <= limit < big_r:
+        raise ValueError(f"resource limit must lie in [0, {big_r})")
+    out = network.evaluate(np.concatenate([_offdiag(lengths), _offdiag(graph.resources)]))
     within = out.reshape(c_star, n - 1) <= limit + RESOURCE_TOL  # row c - 1: f(c, v) per target v
-    answers: dict = {graph.source: 0}
-    for v, hit, c in zip(network.targets, within.any(axis=0).tolist(), within.argmax(axis=0).tolist()):
-        answers[v] = c + 1 if hit else None
-    return answers
+    targets = np.delete(np.arange(n), graph.source).tolist()
+    hits = zip(targets, within.any(axis=0).tolist(), within.argmax(axis=0).tolist())
+    return {graph.source: 0} | {v: c + 1 if hit else None for v, hit, c in hits}
 
 
 # -- traveling salesperson -----------------------------------------------------
@@ -571,17 +548,11 @@ def tsp_brute_force(dist) -> float:
     return float(best)
 
 
-@dataclass(frozen=True)
-class TspNetwork:
-    """Subset-DP tour-length network; distances are inputs (off-diagonal,
-    row-major), the single output is the optimal tour length."""
-
-    net: ReluNetwork
-    n: int
-
-
-def build_tsp_network(n: int) -> TspNetwork:
+def build_tsp_network(n: int) -> ReluNetwork:
     """All path values f(T, v) computed per cardinality layer, in parallel.
+
+    The inputs are the row-major off-diagonal distances; the one output
+    is the optimal tour length.
 
     f(T, v) is the shortest path from the start vertex through exactly
     the vertex set T, ending at v in T; the recursion minimizes over the
@@ -623,8 +594,7 @@ def build_tsp_network(n: int) -> TspNetwork:
         rank[sets] = np.arange(sets.size)
     closing = _plus_input(f, np.arange(big), _edge(n, np.arange(1, n), 0))
     tour = min_reduce_many(layers, closing, big)
-    net = network_from_blocks(n * (n - 1), [*layers, tour])
-    return TspNetwork(_checked(net, num_arcs), n)
+    return _checked(network_from_blocks(n * (n - 1), [*layers, tour]), num_arcs)
 
 
 def _plus_input(f, idx, inputs):
@@ -664,4 +634,4 @@ def run_tsp(dist) -> float:
     n = d.shape[0]
     off = _offdiag(d)
     _check_exact_range(off, 2 * n * np.max(np.abs(off), initial=0.0), f"a tour over {n} vertices")
-    return float(build_tsp_network(n).net.evaluate(off)[0])
+    return float(build_tsp_network(n).evaluate(off)[0])

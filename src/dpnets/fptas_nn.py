@@ -17,9 +17,9 @@ max(0, total - P) = P * (d - 1) rather than d - 1 itself, and the
 downstream weights absorb the factor P.  The computed function is
 identical, but every selector pre-activation becomes an integer, so the
 zero-versus->=2 dichotomy the construction relies on holds bit-exactly
-in doubles (weights 1/P would round for general P).  The builder
-records the profit range in which this stays exact; the runner
-enforces it.
+in doubles (weights 1/P would round for general P).  The runner
+enforces the profit range in which this stays exact,
+``exact_profit_budget(P)``, through ``check_exact_range``.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .knapsack_oracles import (
     check_exact_range,
     coarse_index,
     coarse_index_with_item,
-    exact_profit_budget,
 )
 from .relu_core import ReluNetwork, _checked, check_arc_budget, network_from_blocks
 
@@ -96,14 +95,10 @@ class FptasCell:
     A neuron's arcs follow the order of its terms above; zero
     coefficients (gate_old at k = 1) have no arc.  :meth:`check_layers`
     checks every hidden layer of one step.
-
-    ``max_profit_with_item`` bounds sum(profits) + max(profit) for exact
-    evaluation; :func:`run_fptas` refuses instances beyond it.
     """
 
     net: ReluNetwork
     resolution: int  # P
-    max_profit_with_item: int
 
     def check_layers(self, layers) -> dict:
         """One boolean array per invariant of a step, an entry per checked coordinate.
@@ -142,11 +137,6 @@ class FptasCell:
             "minimum": out[:P] == np.minimum(h1, s_in + h2),
             "profit_total": out[P:] == total_in + p_in,
         }
-
-    def granularities(self, layers):
-        """(d_old, d_new) implied by the recorded layer-1 activations."""
-        P = self.resolution
-        return (layers[1][0] + P) / P, (layers[1][1] + P) / P
 
 
 def _row_pairs(resolution: int):
@@ -201,7 +191,7 @@ def build_fptas_cell(resolution: int) -> FptasCell:
         ([(3, skip_keep, up_p - 1, -1.0), (4, rows, rows, -1.0), (0, [total_in, p_in], P, 1.0)],
          np.append(np.full(P, 2.0), 0.0)),
     ]
-    return FptasCell(_checked(network_from_blocks(P + 3, layers), num_arcs), P, exact_profit_budget(P))
+    return FptasCell(_checked(network_from_blocks(P + 3, layers), num_arcs), P)
 
 
 @dataclass(frozen=True)
@@ -215,9 +205,13 @@ class FptasTrace:
 def run_fptas(cell: FptasCell, inst: KnapsackInstance, record_hidden: bool = False) -> FptasTrace:
     """Apply the cell once per item, threading (g states, profit total).
 
-    The states match :func:`dpnets.knapsack_oracles.fptas_reference`
-    exactly: the comparison terms are integer-valued by construction and
-    the size terms accumulate identically.
+    The comparison terms are integer-valued by construction, so the
+    network selects the same rows as
+    :func:`dpnets.knapsack_oracles.fptas_reference`.  With sizes on the
+    2**-26 grid the states match it exactly.  Off the grid the output
+    minimum h1 - relu(h1 - s_in - h2) can round in the last place, and a
+    state may differ from the reference by a few ulps, far within
+    ``CAPACITY_TOL``.
     """
     P = cell.resolution
     check_exact_range(inst, P)

@@ -135,12 +135,9 @@ def _tally(checks: dict, result: SuiteResult, counters: dict):
 
 def _perturbed(net: ReluNetwork, arc_index: int, delta: float) -> ReluNetwork:
     """Copy of `net` with one arc weight shifted (harness self-test only)."""
-    w = net._w.copy()
-    w[arc_index] += delta
-    return ReluNetwork._from_arrays(
-        net.layer_sizes, net._sl.copy(), net._si.copy(), net._tl.copy(),
-        net._ti.copy(), w, [b.copy() for b in net.biases_by_layer],
-    )
+    doc = net.to_json_dict()
+    doc["arcs"][arc_index][4] += delta
+    return ReluNetwork.from_json_dict(doc)
 
 
 # -- suites --------------------------------------------------------------------

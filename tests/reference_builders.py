@@ -18,7 +18,7 @@ from itertools import combinations
 import numpy as np
 from scipy import sparse
 
-from dpnets.co_builders import CspNetwork, TspNetwork, WeightedGraph
+from dpnets.co_builders import WeightedGraph
 from dpnets.errors import ConstructionError, NumericOverflowError, ShapeMismatchError, SizeGuardError
 from dpnets.relu_core import ReluNetwork, check_arc_budget
 
@@ -253,7 +253,7 @@ def build_min_plus_square_cell(n: int) -> ReluNetwork:
     return b.finish(outs)
 
 
-def build_csp_network(n: int, c_star: int, resource_bound: float, source: int = 0) -> CspNetwork:
+def build_csp_network(n: int, c_star: int, resource_bound: float, source: int = 0) -> ReluNetwork:
     if n < 2:
         raise ValueError("need at least two vertices")
     if c_star < 1:
@@ -322,10 +322,10 @@ def build_csp_network(n: int, c_star: int, resource_bound: float, source: int = 
             f[c, v] = expr
 
     outputs = [f[c, v] for c in range(1, c_star + 1) for v in targets]
-    return CspNetwork(b.finish(outputs), n, c_star, source, big_r, float(resource_bound))
+    return b.finish(outputs)
 
 
-def build_tsp_network(n: int) -> TspNetwork:
+def build_tsp_network(n: int) -> ReluNetwork:
     if n < 2:
         raise SizeGuardError("a tour needs at least two vertices")
     if n > 16:
@@ -355,7 +355,7 @@ def build_tsp_network(n: int) -> TspNetwork:
     full = (1 << (n - 1)) - 1
     closing = [f[full, u] + c(u, 0) for u in range(1, n)]
     tour = min_reduce_many(b, [closing])[0]
-    return TspNetwork(b.finish([tour]), n)
+    return b.finish([tour])
 
 
 # -- recurrent unfolding ---------------------------------------------------

@@ -84,7 +84,7 @@ def test_min_plus_square_cell(n):
 
 @pytest.mark.parametrize("n", range(2, 10))
 def test_tsp_network(n):
-    assert_same(co_builders.build_tsp_network(n).net, ref.build_tsp_network(n).net)
+    assert_same(co_builders.build_tsp_network(n), ref.build_tsp_network(n))
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -92,10 +92,9 @@ def test_csp_network(n):
     for c_star in range(1, 12):
         for source in (0, n - 1):
             for bound in (0, 2.5, 3):
-                new = co_builders.build_csp_network(n, c_star, bound, source)
-                old = ref.build_csp_network(n, c_star, bound, source)
-                assert_same(new.net, old.net)
-                assert new == old
+                # BIG_R is in the weights: gates 2 BIG_R, keep and hop biases BIG_R
+                assert_same(co_builders.build_csp_network(n, c_star, bound, source),
+                            ref.build_csp_network(n, c_star, bound, source))
 
 
 # -- unfolding ---------------------------------------------------------------

@@ -54,7 +54,7 @@ def test_rounded_cell_fault_is_named(layer):
     assert target[0] == layer
     cell = build_fptas_cell(5)
     net = _perturbed(cell.net, arc_index(cell.net, source, target), 0.5)
-    mutant = FptasCell(net, 5, cell.max_profit_with_item)
+    mutant = FptasCell(net, 5)
     assert first_failure(mutant, probe_fptas_cell).startswith(invariant + " ")
 
 

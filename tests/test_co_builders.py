@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dpnets import co_builders
 from dpnets.co_builders import (
     IntSequencePair,
     WeightedGraph,
@@ -25,6 +26,25 @@ from dpnets.co_builders import (
 )
 from dpnets.errors import NumericOverflowError, SizeGuardError
 from dpnets.instance_gen import gen_graph, gen_sequences
+from dpnets.relu_core import ReluNetwork
+
+BUILDS = {
+    "build_lcs_cell": lambda: build_lcs_cell(3),
+    "build_bellman_ford_cell": lambda: build_bellman_ford_cell(gen_graph(3, 10.0, 1)),
+    "build_min_plus_square_cell": lambda: build_min_plus_square_cell(3),
+    "build_csp_network": lambda: build_csp_network(3, 2, 1.0),
+    "build_tsp_network": lambda: build_tsp_network(4),
+}
+
+
+def test_every_builder_is_listed():
+    assert sorted(BUILDS) == sorted(n for n in co_builders.__all__ if n.startswith("build_"))
+
+
+@pytest.mark.parametrize("name", sorted(BUILDS))
+def test_builders_return_a_network(name):
+    assert type(BUILDS[name]()) is ReluNetwork
+
 
 # -- longest common subsequence -------------------------------------------------
 
@@ -67,6 +87,13 @@ def test_lcs_identical_and_disjoint():
     assert run_lcs(IntSequencePair((1, 2, 3), (4, 5, 6, 7))) == 0
 
 
+@pytest.mark.parametrize("x, y", [(2**53, 2**53 + 1), (2**60, 2**60 + 1)])
+def test_lcs_tells_apart_symbols_that_round_alike(x, y):
+    # both symbols round to the same double; fed raw, the gate matched them (1 against 0)
+    assert run_lcs(IntSequencePair((x,), (y,))) == lcs_length((x,), (y,)) == 0
+    assert run_lcs(IntSequencePair((x, y, -x), (y, -x, x))) == lcs_length((x, y, -x), (y, -x, x)) == 2
+
+
 def test_lcs_unary_alphabet():
     pair = gen_sequences(6, 9, 1, 3)
     assert run_lcs(pair) == 6
@@ -97,9 +124,11 @@ def test_bf_cell_shape():
     assert cell.width == 6 * 3
 
 
-def test_bf_unit_triangle_one_step():
+def test_bf_unit_triangle():
     tri = WeightedGraph([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-    assert np.array_equal(run_bellman_ford(tri, rounds=1), [0.0, 1.0, 1.0])
+    got = run_bellman_ford(tri)
+    assert np.array_equal(got, bellman_ford_distances(tri))
+    assert np.array_equal(got, [0.0, 1.0, 1.0])
 
 
 def test_bf_all_zero_lengths():
@@ -132,7 +161,7 @@ def test_bf_refuses_lengths_past_the_exact_range():
 
 
 def test_bf_exact_at_the_largest_admitted_magnitude():
-    far = (2**53 - 3) // 11  # BIG + (R + 3) M = 11 M + 2 on three vertices, below 2**53
+    far = (2**53 - 3) // 11  # BIG + (n + 2) M = 11 M + 2 on three vertices, below 2**53
     g = _triangle(far, 3)
     assert np.array_equal(run_bellman_ford(g), bellman_ford_distances(g))
     with pytest.raises(NumericOverflowError):
@@ -251,12 +280,12 @@ def test_csp_requires_resources():
 
 def test_csp_network_shape():
     n, c_star = 4, 6
-    network = build_csp_network(n, c_star, 2.0)
+    net = build_csp_network(n, c_star, 2.0)
     # one gate layer, then per length budget a selector layer and a
     # ceil(log2(n + 1))-deep minimum tree, then the output layer
-    assert network.net.depth == 1 + c_star * (1 + math.ceil(math.log2(n + 1))) + 1
-    assert network.net.layer_sizes[1] == 2 * (n - 1) * (n - 1) * c_star
-    assert network.net.n_outputs == c_star * (n - 1)
+    assert net.depth == 1 + c_star * (1 + math.ceil(math.log2(n + 1))) + 1
+    assert net.layer_sizes[1] == 2 * (n - 1) * (n - 1) * c_star
+    assert net.n_outputs == c_star * (n - 1)
 
 
 # -- traveling salesperson -----------------------------------------------------------
@@ -309,7 +338,7 @@ def test_tsp_refuses_off_grid_distances():
 
 def test_tsp_network_depth_formula():
     for n in (3, 5, 8):
-        net = build_tsp_network(n).net
+        net = build_tsp_network(n)
         want = sum(math.ceil(math.log2(t - 1)) for t in range(3, n)) + math.ceil(
             math.log2(n - 1)
         ) + 1

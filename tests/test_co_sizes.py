@@ -37,13 +37,13 @@ def csp_sizes(draw):
 @given(csp_sizes())
 def test_csp_count_matches_build(size):
     n, c_star, source, bound = size
-    assert _csp_arcs(n, c_star, source) == build_csp_network(n, c_star, bound, source).net.num_arcs
+    assert _csp_arcs(n, c_star, source) == build_csp_network(n, c_star, bound, source).num_arcs
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(st.integers(2, 9))
 def test_tsp_count_matches_build(n):
-    assert _tsp_arcs(n) == build_tsp_network(n).net.num_arcs
+    assert _tsp_arcs(n) == build_tsp_network(n).num_arcs
 
 
 @pytest.mark.parametrize("n", range(2, 20))

@@ -82,8 +82,8 @@ def test_co_builder_networks():
         graph = gen_graph(n, 9.0, 31 + n, with_resources=True, integer_lengths=True)
         nets.append(co_builders.build_bellman_ford_cell(graph))
         nets.append(co_builders.build_min_plus_square_cell(n))
-        nets.append(co_builders.build_csp_network(n, 6, 2.5).net)
-        nets.append(co_builders.build_tsp_network(n).net)
+        nets.append(co_builders.build_csp_network(n, 6, 2.5))
+        nets.append(co_builders.build_tsp_network(n))
     for seed, net in enumerate(nets):
         assert_engine_matches(net, grid_inputs(net, 100 + seed))
 

@@ -39,3 +39,13 @@ def test_every_imported_name_is_used(name):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used - set(module.__all__)) == []
+
+
+RELU_CORE_PRIVATE = {"_sl", "_si", "_tl", "_ti", "_w", "_bias_arrays", "_compiled", "_from_arrays"}
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "relu_core"])
+def test_only_relu_core_reads_a_network_private_arrays(name):
+    tree = ast.parse(inspect.getsource(importlib.import_module(f"dpnets.{name}")))
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert sorted(read & RELU_CORE_PRIVATE) == []

@@ -72,7 +72,7 @@ def test_build_output(build, tmp_path, capsys):
 
 
 def test_csp_with_a_nonzero_source():
-    net = co_builders.build_csp_network(5, 6, 2.5, 3).net
+    net = co_builders.build_csp_network(5, 6, 2.5, 3)
     assert sha(json.dumps(net.to_json_dict()).encode()) == (
         "4339dc52eff54a0f2a3a0df01d0b1222b7944bfbc05e20a221a7be30d94b21d9"
     )
@@ -94,9 +94,9 @@ NETWORKS = {
     "lcs": lambda: co_builders.build_lcs_cell(9),
     "bf": lambda: co_builders.build_bellman_ford_cell(instance_gen.gen_graph(8, 10.0, 3)),
     "apsp": lambda: co_builders.build_min_plus_square_cell(9),
-    "csp": lambda: co_builders.build_csp_network(5, 10, 2.5).net,
-    "csp source 3": lambda: co_builders.build_csp_network(5, 7, 3.0, 3).net,
-    "tsp": lambda: co_builders.build_tsp_network(8).net,
+    "csp": lambda: co_builders.build_csp_network(5, 10, 2.5),
+    "csp source 3": lambda: co_builders.build_csp_network(5, 7, 3.0, 3),
+    "tsp": lambda: co_builders.build_tsp_network(8),
     "min13": lambda: min_n_gadget(13),
     "unfold": lambda: dp_nn.unfold_dp(12, 40),
 }

@@ -43,8 +43,8 @@ def assert_round_trip(net):
         lambda: build_lcs_cell(6),
         lambda: build_bellman_ford_cell(gen_graph(5, 3.0, 9)),
         lambda: build_min_plus_square_cell(4),
-        lambda: build_csp_network(4, 5, 2.5).net,
-        lambda: build_tsp_network(5).net,
+        lambda: build_csp_network(4, 5, 2.5),
+        lambda: build_tsp_network(5),
     ],
     ids=["dp", "fptas", "unfold_dp", "lcs", "bellman_ford", "apsp", "csp", "tsp"],
 )

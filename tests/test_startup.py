@@ -43,8 +43,8 @@ def digest(net, seed):
 nets = {
     "dp_cell_30": dp_nn.build_dp_cell(30).net,
     "fptas_cell_20": fptas_nn.build_fptas_cell(20).net,
-    "csp_5_10": co_builders.build_csp_network(5, 10, 2.5).net,
-    "tsp_8": co_builders.build_tsp_network(8).net,
+    "csp_5_10": co_builders.build_csp_network(5, 10, 2.5),
+    "tsp_8": co_builders.build_tsp_network(8),
 }
 report = {"digests": {k: digest(net, i) for i, (k, net) in enumerate(nets.items())},
           "scipy_sparse_before": "scipy.sparse" in sys.modules}
