@@ -518,10 +518,10 @@ def run_csp(graph: WeightedGraph, c_star: int, limit) -> dict:
         u, v = bad[0]
         raise ValueError(f"length {lengths[u, v]} at ({u}, {v}) is not a positive integer")
     resource_bound = float(np.max(graph.resources))
-    network = build_csp_network(n, c_star, resource_bound, graph.source)
     big_r = _unreachable(n, resource_bound)
     if not 0 <= limit < big_r:
         raise ValueError(f"resource limit must lie in [0, {big_r})")
+    network = build_csp_network(n, c_star, resource_bound, graph.source)
     out = network.evaluate(np.concatenate([_offdiag(lengths), _offdiag(graph.resources)]))
     within = out.reshape(c_star, n - 1) <= limit + RESOURCE_TOL  # row c - 1: f(c, v) per target v
     targets = np.delete(np.arange(n), graph.source).tolist()
@@ -532,9 +532,22 @@ def run_csp(graph: WeightedGraph, c_star: int, limit) -> dict:
 # -- traveling salesperson -----------------------------------------------------
 
 
-def tsp_brute_force(dist) -> float:
-    """Shortest directed round trip by enumerating all (n-1)! permutations."""
+def _tour_matrix(dist) -> np.ndarray:
+    """``dist`` as a float matrix, refused unless square, finite and of two vertices or more."""
     d = np.asarray(dist, dtype=np.float64)
+    if d.ndim != 2 or d.shape[0] != d.shape[1]:
+        raise ValueError("distance matrix must be square")
+    if not np.all(np.isfinite(d)):
+        raise ValueError("distances must be finite")
+    if d.shape[0] < 2:
+        raise SizeGuardError("a tour needs at least two vertices")
+    return d
+
+
+def tsp_brute_force(dist) -> float:
+    """Shortest directed round trip by enumerating all (n-1)! permutations;
+    a matrix that is not square, not finite or under two vertices is refused as in :func:`run_tsp`."""
+    d = _tour_matrix(dist)
     n = d.shape[0]
     if n > ORACLE_MAX_VERTICES:
         raise SizeGuardError(f"permutation enumeration refuses n = {n} > {ORACLE_MAX_VERTICES}")
@@ -626,11 +639,7 @@ def run_tsp(dist) -> float:
     2 n M reaches 2**53 times the finest dyadic quantum of its distances
     is refused as in :func:`run_bellman_ford`, off-grid ones like 0.1 too.
     """
-    d = np.asarray(dist, dtype=np.float64)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise ValueError("distance matrix must be square")
-    if not np.all(np.isfinite(d)):
-        raise ValueError("distances must be finite")
+    d = _tour_matrix(dist)
     n = d.shape[0]
     off = _offdiag(d)
     _check_exact_range(off, 2 * n * np.max(np.abs(off), initial=0.0), f"a tour over {n} vertices")

@@ -17,12 +17,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .knapsack_oracles import DpTable, KnapsackInstance, Solution, backtrack, optimum_value
+from .knapsack_oracles import DpTable, KnapsackInstance, Solution, Trace, backtrack, optimum_value
 from .relu_core import ReluNetwork, _checked, check_arc_budget, network_from_blocks, unfold
 
 __all__ = [
     "DpCell",
-    "DpTrace",
     "build_dp_cell",
     "dp_unfolded_input",
     "run_recurrent",
@@ -119,31 +118,18 @@ def build_dp_cell(p_star: int) -> DpCell:
     return DpCell(_checked(network_from_blocks(p_star + 2, layers), num_arcs), p_star)
 
 
-@dataclass(frozen=True)
-class DpTrace:
-    """State sequence of a recurrent run; states[i] is the column after i items.
-
-    ``hidden[i]`` (when recorded) holds every layer's activations for
-    step i + 1, as returned by ``ReluNetwork.evaluate_layers``.
-    """
-
-    states: list
-    hidden: list | None = None
-
-    def as_table(self, p_star: int) -> DpTable:
-        values = np.zeros((p_star + 1, len(self.states)))
-        values[1:, :] = np.column_stack(self.states)
-        return DpTable(p_star, values)
-
-
-def run_recurrent(cell: DpCell, inst: KnapsackInstance, record_hidden: bool = False) -> DpTrace:
+def run_recurrent(cell: DpCell, inst: KnapsackInstance, record_hidden: bool = False) -> Trace:
     """Apply the cell once per item, threading the table column through.
 
-    The initial state is (2, ..., 2).  Item profits above p_star are
+    The initial state is (2, ..., 2); the state after i items is column i
+    of the returned :class:`DpTable`.  Item profits above p_star are
     fine: no gate closes, so the cell computes min(f_in(p), s_in),
     matching the truncated recursion's convention for p - p_i <= 0.
     """
-    return DpTrace(*cell.net.run(np.full(cell.p_star, 2.0), zip(inst.profits, inst.sizes), record_hidden))
+    states, hidden = cell.net.run(np.full(cell.p_star, 2.0), zip(inst.profits, inst.sizes), record_hidden)
+    values = np.zeros((cell.p_star + 1, inst.n + 1))
+    values[1:, :] = np.array(states).T
+    return Trace(DpTable(cell.p_star, values), hidden)
 
 
 def solve_exact(inst: KnapsackInstance, p_star: int | None = None) -> Solution:
@@ -157,8 +143,7 @@ def solve_exact(inst: KnapsackInstance, p_star: int | None = None) -> Solution:
     """
     if p_star is None:
         p_star = inst.total_profit
-    cell = build_dp_cell(p_star)
-    table = run_recurrent(cell, inst).as_table(p_star)
+    table = run_recurrent(build_dp_cell(p_star), inst).table
     value = optimum_value(table)
     if value == 0:
         return Solution(0, (), 0.0)

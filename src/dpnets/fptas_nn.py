@@ -31,12 +31,14 @@ from math import ceil
 
 import numpy as np
 
-from .errors import InfeasibleTargetError
 from .knapsack_oracles import (
     CAPACITY_TOL,
     FptasTable,
     KnapsackInstance,
     Solution,
+    Trace,
+    _check_backtrack,
+    _witness,
     brute_force,
     check_exact_range,
     coarse_index,
@@ -46,7 +48,6 @@ from .relu_core import ReluNetwork, _checked, check_arc_budget, network_from_blo
 
 __all__ = [
     "FptasCell",
-    "FptasTrace",
     "TradeoffPoint",
     "build_fptas_cell",
     "fptas_backtrack",
@@ -194,16 +195,9 @@ def build_fptas_cell(resolution: int) -> FptasCell:
     return FptasCell(_checked(network_from_blocks(P + 3, layers), num_arcs), P)
 
 
-@dataclass(frozen=True)
-class FptasTrace:
-    """Result of a recurrent run: the rounded table plus optional activations."""
-
-    table: FptasTable
-    hidden: list | None = None
-
-
-def run_fptas(cell: FptasCell, inst: KnapsackInstance, record_hidden: bool = False) -> FptasTrace:
-    """Apply the cell once per item, threading (g states, profit total).
+def run_fptas(cell: FptasCell, inst: KnapsackInstance, record_hidden: bool = False) -> Trace:
+    """Apply the cell once per item, threading (g states, profit total) into
+    the :class:`FptasTable` that ``fptas_reference`` returns.
 
     The comparison terms are integer-valued by construction, so the
     network selects the same rows as
@@ -217,8 +211,8 @@ def run_fptas(cell: FptasCell, inst: KnapsackInstance, record_hidden: bool = Fal
     check_exact_range(inst, P)
     states, hidden = cell.net.run(np.append(np.full(P, 2.0), 0.0), zip(inst.profits, inst.sizes), record_hidden)
     values = np.zeros((P + 1, inst.n + 1))
-    values[1:, :] = np.column_stack(states)[:P]
-    return FptasTrace(FptasTable(P, values, tuple(int(s[P]) for s in states)), hidden)
+    values[1:, :] = np.array(states)[:, :P].T
+    return Trace(FptasTable(P, values, tuple(int(s[P]) for s in states)), hidden)
 
 
 def fptas_backtrack(table: FptasTable, inst: KnapsackInstance, target_row: int) -> Solution:
@@ -230,33 +224,24 @@ def fptas_backtrack(table: FptasTable, inst: KnapsackInstance, target_row: int) 
     profit is at least target_row * d_n and its size is within n * tol
     of g(target_row, n).
     """
+    _check_backtrack(table, inst, target_row)
     P = table.resolution
-    if not 1 <= target_row <= P:
-        raise ValueError(f"target row {target_row} outside [1, {P}]")
-    if table.values[target_row, -1] > 1.0 + CAPACITY_TOL:
-        raise InfeasibleTargetError(f"row {target_row} is not feasible in the final column")
     items = []
     p = target_row
-    for i in range(table.n_items, 0, -1):
+    for i in range(inst.n, 0, -1):
         if p <= 0:
             break
-        p_i = inst.profits[i - 1]
-        s_i = inst.sizes[i - 1]
-        d_old = table.scaled_granularity(i - 1)
-        d_new = table.scaled_granularity(i)
+        d_old, d_new = table.scaled_granularity(i - 1), table.scaled_granularity(i)
         p1 = coarse_index(p, d_old, d_new)
-        p2 = coarse_index_with_item(p, p_i, P, d_old, d_new)
+        p2 = coarse_index_with_item(p, inst.profits[i - 1], P, d_old, d_new)
         h1 = table.values[p1, i - 1] if p1 <= P else 2.0
         h2 = table.values[p2, i - 1] if p2 >= 1 else 0.0
-        if s_i + h2 < h1 - CAPACITY_TOL:
+        if inst.sizes[i - 1] + h2 < h1 - CAPACITY_TOL:
             items.append(i - 1)
             p = p2
         else:
             p = p1
-    items = tuple(sorted(items))
-    total = float(sum(inst.sizes[i] for i in items))
-    profit = sum(inst.profits[i] for i in items)
-    return Solution(profit, items, total)
+    return _witness(inst, items)
 
 
 def resolution_for(n: int, epsilon) -> int:
@@ -280,8 +265,8 @@ def solve_with_resolution(inst: KnapsackInstance, resolution: int) -> Solution:
     asserted").  The witness is recovered by backtracking, so its actual
     profit may exceed the guaranteed value.
     """
-    cell = build_fptas_cell(resolution)
-    table = run_fptas(cell, inst).table
+    check_exact_range(inst, resolution)  # before the build: a refused instance costs no cell
+    table = run_fptas(build_fptas_cell(resolution), inst).table
     row = table.best_row()
     if row == 0:
         return Solution(0.0, (), 0.0)

@@ -145,31 +145,42 @@ def gen_knapsack(cfg: GenConfig) -> KnapsackInstance:
             return KnapsackInstance(tuple(profits), tuple(sizes))
 
 
+def _float_matrix(rows, what: str) -> np.ndarray:
+    """A read-only float copy of a matrix; ValueError on an entry that is not a number."""
+    if not (isinstance(rows, np.ndarray) and rows.dtype.kind in "iuf"):
+        rows = [[number_value(v, what) for v in json_list(row, f"a {what} row")]
+                for row in json_list(rows, f"the {what} matrix")]
+    matrix = np.array(rows, dtype=np.float64)
+    matrix.setflags(write=False)
+    return matrix
+
+
 @dataclass(frozen=True)
 class WeightedGraph:
-    """Dense digraph: length matrix, optional resource matrix, source vertex."""
+    """Dense digraph: length matrix, optional resource matrix, source vertex.
+
+    Each matrix is a numeric array or a list of rows of numbers; bools,
+    strings and None are refused with ValueError."""
 
     lengths: np.ndarray
     resources: np.ndarray | None = None
     source: int = 0
 
     def __post_init__(self):
-        lengths = np.array(self.lengths, dtype=np.float64)
+        lengths = _float_matrix(self.lengths, "length")
         if lengths.ndim != 2 or lengths.shape[0] != lengths.shape[1]:
             raise ValueError("length matrix must be square")
         if lengths.shape[0] < 2:
             raise ValueError("need at least two vertices")
         if not np.all(np.isfinite(lengths)):
             raise ValueError("lengths must be finite")
-        lengths.setflags(write=False)
         object.__setattr__(self, "lengths", lengths)
         if self.resources is not None:
-            res = np.array(self.resources, dtype=np.float64)
+            res = _float_matrix(self.resources, "resource")
             if res.shape != lengths.shape:
                 raise ValueError("resource matrix shape mismatch")
             if not np.all(np.isfinite(res)) or (res < 0).any():
                 raise ValueError("resources must be finite and non-negative")
-            res.setflags(write=False)
             object.__setattr__(self, "resources", res)
         object.__setattr__(self, "source", integer_value(self.source, "source"))
         if not 0 <= self.source < lengths.shape[0]:
@@ -188,19 +199,10 @@ class WeightedGraph:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "WeightedGraph":
         (lengths,) = json_fields(doc, "graph", "lengths")
-        resources = doc.get("resources")
-        graph = cls(_number_matrix(lengths, "length"),
-                    None if resources is None else _number_matrix(resources, "resource"),
-                    doc.get("source", 0))
+        graph = cls(lengths, doc.get("resources"), doc.get("source", 0))
         if "n" in doc and integer_value(doc["n"], "n") != graph.n:
             raise ValueError(f"the graph document's n = {doc['n']} does not match its {graph.n} rows")
         return graph
-
-
-def _number_matrix(rows, what: str) -> list:
-    """A JSON matrix as lists of floats; ValueError on any entry that is not a number."""
-    return [[number_value(v, what) for v in json_list(row, f"a {what} row")]
-            for row in json_list(rows, f"the {what} matrix")]
 
 
 @dataclass(frozen=True)
@@ -255,7 +257,7 @@ def gen_graph(
     rng = SplitMix64(seed)
 
     def matrix(draw):  # row-major draws off the diagonal
-        return [[draw() if u != v else 0.0 for v in range(n)] for u in range(n)]
+        return np.array([[draw() if u != v else 0.0 for v in range(n)] for u in range(n)])
 
     def grid_draw():
         return _quantize(rng.uniform() * max_len)

@@ -23,6 +23,7 @@ __all__ = [
     "FptasTable",
     "KnapsackInstance",
     "Solution",
+    "Trace",
     "backtrack",
     "brute_force",
     "ceil_div",
@@ -63,8 +64,8 @@ def json_fields(doc, kind: str, *keys) -> list:
 
 
 def json_list(v, what: str) -> list:
-    """``v`` if it is a list; ValueError otherwise."""
-    if not isinstance(v, (list, tuple)):
+    """``v`` if it is a list, a tuple or an array; ValueError otherwise."""
+    if not isinstance(v, (list, tuple, np.ndarray)):
         raise ValueError(f"{what} must be a list, not {v!r}")
     return v
 
@@ -191,6 +192,19 @@ class FptasTable:
         return _largest_feasible_row(self.values)
 
 
+@dataclass(frozen=True)
+class Trace:
+    """A recurrent run of a knapsack cell: the table its states fill, a
+    :class:`DpTable` or an :class:`FptasTable`, as the oracle returns it.
+
+    ``hidden[i]`` (when recorded) holds every layer's activations for
+    step i + 1, as returned by ``ReluNetwork.evaluate_layers``.
+    """
+
+    table: DpTable | FptasTable
+    hidden: list | None = None
+
+
 # -- exact dynamic program ---------------------------------------------------
 
 
@@ -254,9 +268,7 @@ def brute_force(inst: KnapsackInstance) -> Solution:
     feasible = size <= 1.0 + CAPACITY_TOL
     best_profit = int(prof[feasible].max())
     candidates = np.flatnonzero(feasible & (prof == best_profit))
-    best_items = min(tuple(i for i in range(n) if mask >> i & 1) for mask in candidates.tolist())
-    total = float(sum(inst.sizes[i] for i in best_items))
-    return Solution(best_profit, best_items, total)
+    return _witness(inst, min(tuple(i for i in range(n) if mask >> i & 1) for mask in candidates.tolist()))
 
 
 # -- rounded reference recursion ---------------------------------------------
@@ -286,7 +298,9 @@ def exact_profit_budget(resolution: int) -> int:
 
 
 def check_exact_range(inst: KnapsackInstance, resolution: int):
-    """Refuse an instance beyond :func:`exact_profit_budget` at resolution P."""
+    """Refuse a resolution P below 1, or an instance beyond :func:`exact_profit_budget` at P."""
+    if resolution < 1:
+        raise ValueError("resolution must be >= 1")
     budget = exact_profit_budget(resolution)
     if inst.total_profit + max(inst.profits) > budget:
         raise NumericOverflowError(
@@ -310,8 +324,6 @@ def fptas_reference(inst: KnapsackInstance, resolution: int) -> FptasTable:
     P * d = max(P, running profit sum), so the index computations never
     touch floating point.
     """
-    if resolution < 1:
-        raise ValueError("resolution must be >= 1")
     check_exact_range(inst, resolution)
     P = resolution
     n = inst.n
@@ -337,6 +349,25 @@ def fptas_reference(inst: KnapsackInstance, resolution: int) -> FptasTable:
 # -- subset recovery ----------------------------------------------------------
 
 
+def _witness(inst: KnapsackInstance, items) -> Solution:
+    """The subset ``items`` of ``inst`` as a Solution: its profit, sorted indices and size."""
+    items = tuple(sorted(items))
+    return Solution(sum(inst.profits[i] for i in items), items, float(sum(inst.sizes[i] for i in items)))
+
+
+def _check_backtrack(table: DpTable | FptasTable, inst: KnapsackInstance, row: int):
+    """Refuse a backtrack from ``row`` unless it is a row of the table, the
+    table has one column per item of ``inst`` plus one, and the row is
+    feasible in the final column."""
+    rows = table.values.shape[0] - 1
+    if not 1 <= row <= rows:
+        raise ValueError(f"target row {row} outside [1, {rows}]")
+    if table.n_items != inst.n:
+        raise ValueError(f"the table has {table.n_items} item columns, the instance {inst.n} items")
+    if table.values[row, -1] > 1.0 + CAPACITY_TOL:
+        raise InfeasibleTargetError(f"row {row} is not feasible in the final column")
+
+
 def backtrack(table: DpTable, inst: KnapsackInstance, target_p: int) -> Solution:
     """Recover an item subset achieving profit >= target_p from a table.
 
@@ -345,14 +376,7 @@ def backtrack(table: DpTable, inst: KnapsackInstance, target_p: int) -> Solution
     out, which yields minimal-cardinality witnesses and deterministic
     output.  The subset's total size is at most f(target_p, n) + n * tol.
     """
-    if not 1 <= target_p <= table.p_star:
-        raise ValueError(f"target profit {target_p} outside [1, {table.p_star}]")
-    if table.n_items != inst.n:
-        raise ValueError("table and instance disagree on item count")
-    if table.values[target_p, -1] > 1.0 + CAPACITY_TOL:
-        raise InfeasibleTargetError(
-            f"no subset of size <= 1 reaches profit {target_p}"
-        )
+    _check_backtrack(table, inst, target_p)
     v = table.values
     items = []
     p = target_p
@@ -362,7 +386,4 @@ def backtrack(table: DpTable, inst: KnapsackInstance, target_p: int) -> Solution
         if v[p, i] < v[p, i - 1] - CAPACITY_TOL:
             items.append(i - 1)
             p = max(p - inst.profits[i - 1], 0)
-    items = tuple(sorted(items))
-    total = float(sum(inst.sizes[i] for i in items))
-    profit = sum(inst.profits[i] for i in items)
-    return Solution(profit, items, total)
+    return _witness(inst, items)

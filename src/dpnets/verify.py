@@ -174,14 +174,8 @@ def suite_dp(trials: int, seed: int, inject_fault: bool = False) -> SuiteResult:
         p_star = rng.randint(2, 24)
         inst = capped_instance(seed * 1_000_003 + t, p_star, 11)
         table = dp_table(inst, p_star)
-        trace = dp_nn.run_recurrent(dp_nn.build_dp_cell(p_star), inst)
-        r.ok(
-            all(
-                np.array_equal(col, table.values[1:, i])
-                for i, col in enumerate(trace.states)
-            ),
-            "network states differ from the table",
-        )
+        net_table = dp_nn.run_recurrent(dp_nn.build_dp_cell(p_star), inst).table
+        r.ok(np.array_equal(net_table.values, table.values), "network states differ from the table")
         sol = dp_nn.solve_exact(inst)
         best = brute_force(inst)
         r.ok(sol.value == best.value, f"value {sol.value} != brute force {best.value}")

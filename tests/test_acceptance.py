@@ -54,10 +54,10 @@ def test_criterion_1_exact_solver_matches_oracles():
         cell = cells[p_star]
         trace = run_recurrent(cell, inst)
         table = dp_table(inst, p_star)
-        for i, col in enumerate(trace.states):
+        for i, col in enumerate(trace.table.values[1:].T):
             worst = max(worst, float(np.max(np.abs(col - table.values[1:, i]))))
         value = optimum_value(table)
-        net_value = optimum_value(trace.as_table(p_star))
+        net_value = optimum_value(trace.table)
         if not (net_value == value == brute_force(inst).value):
             mismatches += 1
     ok = worst <= STATE_TOL and mismatches == 0
@@ -178,7 +178,7 @@ def test_criterion_6_unfold_equivalence():
         net = unfold_dp(p_star, inst.n)
         depth_ok &= net.depth == 4 * inst.n
         got = net.evaluate(dp_unfolded_input(inst, p_star))
-        want = run_recurrent(build_dp_cell(p_star), inst).states[-1]
+        want = run_recurrent(build_dp_cell(p_star), inst).table.values[1:, -1]
         mismatches += not np.array_equal(got, want)
     ok = mismatches == 0 and depth_ok
     _report(6, ok, f"100 instances, {mismatches} mismatches (exact); depth = 4n: {depth_ok}", started)
@@ -231,7 +231,7 @@ def test_criterion_8_rounded_equals_exact_when_within_resolution():
         P = sum(inst.profits)
         rounded = run_fptas(build_fptas_cell(P), inst).table
         exact = run_recurrent(build_dp_cell(P), inst)
-        for i, col in enumerate(exact.states):
+        for i, col in enumerate(exact.table.values[1:].T):
             mismatches += not np.array_equal(rounded.values[1:, i], col)
     _report(8, mismatches == 0, f"50 instances, {mismatches} entry mismatches (exact)", started)
 

@@ -272,6 +272,18 @@ def test_csp_rejects_non_integer_lengths():
         run_csp(g, 5, 1.0)
 
 
+def test_csp_checks_the_limit_before_building(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built the network before the limit was checked")
+
+    monkeypatch.setattr(co_builders, "build_csp_network", refuse)
+    g = gen_graph(5, 3, 1, with_resources=True, integer_lengths=True)
+    big_r = 2 * (5 * float(np.max(g.resources)) + 1)
+    for limit in (-1.0, big_r):
+        with pytest.raises(ValueError, match="resource limit"):
+            run_csp(g, 200, limit)
+
+
 def test_csp_requires_resources():
     g = WeightedGraph([[0, 1], [1, 0]])
     with pytest.raises(ValueError):
@@ -359,6 +371,26 @@ def test_enumerating_oracles_refuse_eleven_vertices():
         enumerate_csp_lengths(g, 0.0)
     with pytest.raises(SizeGuardError, match="n = 11 > 10"):
         tsp_brute_force(g.lengths)
+
+
+@pytest.mark.parametrize(
+    "dist, error",
+    [([[0.0]], SizeGuardError), ([[0, 1, 2], [1, 0, 3]], ValueError), ([[0, math.inf], [1, 0]], ValueError)],
+    ids=["one-vertex", "not-square", "not-finite"],
+)
+def test_tsp_oracle_refuses_what_the_network_refuses(dist, error):
+    with pytest.raises(error):
+        run_tsp(dist)
+    with pytest.raises(error):
+        tsp_brute_force(dist)
+
+
+@pytest.mark.parametrize("bad", [True, "1", None], ids=["bool", "string", "none"])
+def test_graph_refuses_an_entry_that_is_not_a_number(bad):
+    with pytest.raises(ValueError, match="is not a number"):
+        WeightedGraph([[0, bad], [1, 0]])
+    with pytest.raises(ValueError, match="is not a number"):
+        WeightedGraph([[0, 1], [1, 0]], [[0, bad], [1, 0]])
 
 
 def test_graph_validation():

@@ -81,9 +81,9 @@ def test_cell_bound_guard():
 
 def test_run_recurrent_tiny():
     tr = run_recurrent(build_dp_cell(2), KnapsackInstance((1,), (0.5,)))
-    assert np.array_equal(tr.states[-1], [0.5, 2.0])
+    assert np.array_equal(tr.table.values[1:, -1], [0.5, 2.0])
     tr2 = run_recurrent(build_dp_cell(2), KnapsackInstance((1, 1), (0.6, 0.6)))
-    assert np.max(np.abs(tr2.states[-1] - np.array([0.6, 1.2]))) <= 1e-9
+    assert np.max(np.abs(tr2.table.values[1:, -1] - np.array([0.6, 1.2]))) <= 1e-9
 
 
 def test_run_recurrent_matches_table():
@@ -95,7 +95,7 @@ def test_run_recurrent_matches_table():
         cell = cells[p_star]
         trace = run_recurrent(cell, inst)
         table = dp_table(inst, p_star)
-        for i, col in enumerate(trace.states):
+        for i, col in enumerate(trace.table.values[1:].T):
             assert np.max(np.abs(col - table.values[1:, i])) <= 1e-9
 
 
@@ -105,9 +105,9 @@ def test_profit_above_bound_is_accepted():
     cell = build_dp_cell(3)
     inst = KnapsackInstance((7,), (0.25,))
     tr = run_recurrent(cell, inst)
-    assert np.array_equal(tr.states[-1], [0.25, 0.25, 0.25])
+    assert np.array_equal(tr.table.values[1:, -1], [0.25, 0.25, 0.25])
     table = dp_table(inst, 3)
-    assert np.array_equal(tr.states[-1], table.values[1:, 1])
+    assert np.array_equal(tr.table.values[1:, -1], table.values[1:, 1])
 
 
 def test_gate_selector_minimum_probes():
@@ -142,7 +142,7 @@ def test_solve_exact_default_bound_matches_brute_force():
 def test_state_range():
     for inst in instance_stream(14_000, 20, 2, 25, 10):
         trace = run_recurrent(build_dp_cell(sum(inst.profits)), inst)
-        for col in trace.states:
+        for col in trace.table.values[1:].T:
             assert np.all(col > 0.0) and np.all(col <= 2.0)
 
 
@@ -152,7 +152,7 @@ def test_unfold_dp_depth_and_equivalence():
         net = unfold_dp(p_star, inst.n)
         assert net.depth == 4 * inst.n
         got = net.evaluate(dp_unfolded_input(inst, p_star))
-        want = run_recurrent(build_dp_cell(p_star), inst).states[-1]
+        want = run_recurrent(build_dp_cell(p_star), inst).table.values[1:, -1]
         assert np.array_equal(got, want)
 
 
@@ -161,7 +161,7 @@ def test_unfold_dp_single_step_matches_cell():
     net = unfold_dp(3, 1)
     cell = build_dp_cell(3)
     x = dp_unfolded_input(inst, 3)
-    assert np.array_equal(net.evaluate(x), run_recurrent(cell, inst).states[-1])
+    assert np.array_equal(net.evaluate(x), run_recurrent(cell, inst).table.values[1:, -1])
     assert net.stats() == cell.net.stats()
 
 
@@ -170,7 +170,7 @@ def test_hidden_recording():
     trace = run_recurrent(build_dp_cell(3), inst, record_hidden=True)
     assert len(trace.hidden) == 2
     assert len(trace.hidden[0]) == 5  # inputs + three hidden layers + outputs
-    assert np.array_equal(trace.hidden[-1][-1], trace.states[-1])
+    assert np.array_equal(trace.hidden[-1][-1], trace.table.values[1:, -1])
 
 
 def test_gate_dichotomy_on_recorded_runs():
@@ -180,7 +180,7 @@ def test_gate_dichotomy_on_recorded_runs():
         trace = run_recurrent(cell, inst, record_hidden=True)
         for step, layers in enumerate(trace.hidden):
             item = [inst.profits[step], inst.sizes[step]]
-            assert np.array_equal(layers[0], np.concatenate([trace.states[step], item]))
+            assert np.array_equal(layers[0], np.concatenate([trace.table.values[1:, step], item]))
             for name, ok in cell.check_layers(layers).items():
                 assert ok.all(), (name, step)
 

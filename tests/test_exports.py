@@ -49,3 +49,29 @@ def test_only_relu_core_reads_a_network_private_arrays(name):
     tree = ast.parse(inspect.getsource(importlib.import_module(f"dpnets.{name}")))
     read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert sorted(read & RELU_CORE_PRIVATE) == []
+
+
+
+def test_every_private_helper_is_used():
+    # a module-level private name that a refactor leaves behind is read on no other line of the package
+    trees = {name: ast.parse(inspect.getsource(importlib.import_module(f"dpnets.{name}"))) for name in MODULES}
+    defined = set()
+    for name, tree in trees.items():
+        for node in tree.body:
+            for target in node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", node)]:
+                label = getattr(target, "name", getattr(target, "id", ""))
+                if label.startswith("_") and not label.startswith("__"):
+                    defined.add((name, node.lineno, label))
+    read = {
+        (name, node.lineno, label)
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        for label in (getattr(node, "id", None), getattr(node, "attr", None),
+                      node.name if isinstance(node, ast.alias) else None)
+        if label
+    }
+    orphans = [
+        f"{name}.{label}" for name, line, label in sorted(defined)
+        if not any(other[2] == label and other[:2] != (name, line) for other in read)
+    ]
+    assert orphans == []

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpnets import fptas_nn
 from dpnets.dp_nn import build_dp_cell, run_recurrent, solve_exact
 from dpnets.errors import NumericOverflowError, SizeGuardError
 from dpnets.fptas_nn import (
@@ -21,6 +22,7 @@ from dpnets.instance_gen import GRID_QUANTUM, SplitMix64
 from dpnets.knapsack_oracles import (
     CAPACITY_TOL,
     KnapsackInstance,
+    backtrack,
     brute_force,
     dp_table,
     exact_profit_budget,
@@ -100,7 +102,7 @@ def test_off_grid_sizes_stay_within_tolerance():
         rounded, ref = run_fptas(build_fptas_cell(P), inst).table, fptas_reference(inst, P)
         assert np.all(np.abs(rounded.values - ref.values) <= CAPACITY_TOL)
         assert rounded.p_star_sums == ref.p_star_sums
-        exact = np.column_stack(run_recurrent(build_dp_cell(inst.total_profit), inst).states)
+        exact = run_recurrent(build_dp_cell(inst.total_profit), inst).table.values[1:]
         assert np.all(np.abs(exact - dp_table(inst, inst.total_profit).values[1:]) <= CAPACITY_TOL)
         assert solve_exact(inst).value == brute_force(inst).value
 
@@ -112,7 +114,7 @@ def test_degenerates_to_exact_network():
         P = sum(inst.profits)
         rounded = run_fptas(build_fptas_cell(P), inst).table
         exact = run_recurrent(build_dp_cell(P), inst)
-        for i, col in enumerate(exact.states):
+        for i, col in enumerate(exact.table.values[1:].T):
             assert np.array_equal(rounded.values[1:, i], col)
 
 
@@ -180,6 +182,16 @@ def test_backtrack_witnesses_every_feasible_row():
             assert size <= table.values[p, -1] + inst.n * 1e-9
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_backtracks_refuse_a_table_of_another_item_count(n):
+    table_inst = KnapsackInstance((1, 2, 3), (0.25, 0.25, 0.25))
+    inst = KnapsackInstance((1,) * n, (0.25,) * n)
+    with pytest.raises(ValueError, match="3 item columns"):
+        fptas_backtrack(run_fptas(build_fptas_cell(6), table_inst).table, inst, 1)
+    with pytest.raises(ValueError, match="3 item columns"):
+        backtrack(run_recurrent(build_dp_cell(6), table_inst).table, inst, 1)
+
+
 def test_monotone_quality_sweep_endpoint():
     inst = capped_instance(97, 35, 10)
     best = brute_force(inst).value
@@ -209,6 +221,16 @@ def test_overflow_guard_fires_before_evaluation():
     inst = KnapsackInstance((huge,), (0.5,))
     with pytest.raises(NumericOverflowError):
         run_fptas(cell, inst)
+
+
+def test_solve_checks_the_range_before_building(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built a cell for an instance past the exact range")
+
+    monkeypatch.setattr(fptas_nn, "build_fptas_cell", refuse)
+    inst = KnapsackInstance((exact_profit_budget(600),), (0.5,))
+    with pytest.raises(NumericOverflowError):
+        solve_with_resolution(inst, 600)
 
 
 def test_g_range_and_two_means_nothing_asserted():

@@ -90,6 +90,28 @@ def test_verify_output(flags, code, digest, capsys):
     assert sha(capsys.readouterr().out.encode()) == digest
 
 
+# solve command and options -> digest of its report without ``wall_time_s``, key order kept
+SOLVES = {
+    "solve-exact": "ba45161f6159e722c80e22ce109a5cf0a8c13052ee8830ac8a6f08ba5cca4099",
+    "solve-exact --verify": "b9c70223afb9f5643db0e67f390b96138f260d714a7c5284ada33d92112bbf2f",
+    "solve-exact --p-star 30": "0a7008d9a7033e84913411d371dd8a83139e5ad89aaa26254cc79b1e94e128e1",
+    "solve-fptas --epsilon 1/2 --verify": "60cb78529cd82a19580fb26ce81928d53534ddbe22362e0493485ccea772e77f",
+    "solve-fptas --capital-p 12 --verify": "863eb25e10794e0e816b2228c2a25aced42dd18d3ed85ff2d3f507b014c16ae8",
+}
+
+
+@pytest.mark.parametrize("solve", SOLVES)
+def test_solve_report(solve, tmp_path, capsys):
+    instance = tmp_path / "knapsack.json"
+    assert main(["gen", "knapsack", "--seed", "11", "--p-star", "40", "--out", str(instance)]) == 0
+    command, *flags = solve.split()
+    capsys.readouterr()
+    assert main([command, "--instance", str(instance), *flags]) == 0
+    report = json.loads(capsys.readouterr().out)
+    del report["wall_time_s"]
+    assert sha(json.dumps(report).encode()) == SOLVES[solve]
+
+
 NETWORKS = {
     "lcs": lambda: co_builders.build_lcs_cell(9),
     "bf": lambda: co_builders.build_bellman_ford_cell(instance_gen.gen_graph(8, 10.0, 3)),
