@@ -194,6 +194,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.trials < 1:  # no trials would check nothing and still report success
+        raise SystemExit(f"error: --trials must be at least 1, not {args.trials}")
     if args.max_items > BRUTE_FORCE_MAX_ITEMS:
         raise SystemExit(f"error: --max-items above {BRUTE_FORCE_MAX_ITEMS} would defeat the oracle")
     epsilons = [Fraction(e) for e in args.epsilons.split(",")]
@@ -219,6 +221,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:  # no trials would check nothing and still report success
+        raise SystemExit(f"error: --trials must be at least 1, not {args.trials}")
     names = verify.suite_names() if args.kind == "all" else [args.kind]
     summary = {"suites": {}, "passed": True}
     for name in names:

@@ -78,8 +78,10 @@ def _unreachable(n: int, bound: float) -> float:
 
 
 def big_value(matrix) -> float:
-    """Unreachable-surrogate for a length/resource matrix: 2*(n*max|entry| + 1)."""
-    m = np.asarray(matrix, dtype=np.float64)
+    """Unreachable-surrogate for a length/resource matrix: 2*(n*max|entry| + 1).
+
+    The matrix is read as a :class:`WeightedGraph`'s lengths."""
+    m = WeightedGraph(matrix).lengths
     return _unreachable(m.shape[0], float(np.max(np.abs(m))))
 
 
@@ -211,23 +213,22 @@ def run_bellman_ford(graph: WeightedGraph) -> np.ndarray:
     n = graph.n
     if not np.all(np.diag(graph.lengths) == 0.0):
         raise ValueError("relaxation rounds need a zero diagonal")
-    big = big_value(graph.lengths)
-    magnitude = big + (n + 2) * np.max(np.abs(graph.lengths))
+    longest = float(np.max(np.abs(graph.lengths)))
+    big = _unreachable(n, longest)
+    magnitude = big + (n + 2) * longest
     _check_exact_range(np.append(graph.lengths, big), magnitude, f"{n - 1} relaxation rounds")
-    cell = build_bellman_ford_cell(graph)
     state = np.full(n, big)
     state[graph.source] = 0.0
-    for _ in range(n - 1):
-        state = cell.evaluate(state)
-    return state
+    return build_bellman_ford_cell(graph).run(state, np.zeros((n - 1, 0)))[0][-1]
 
 
 # -- all-pairs shortest paths via min-plus squaring ----------------------------
 
 
 def floyd_warshall(lengths) -> np.ndarray:
-    """Classical all-pairs table; entries are plain numbers (use BIG, not inf)."""
-    d = np.array(lengths, dtype=np.float64)
+    """Classical all-pairs table of a matrix read as a :class:`WeightedGraph`'s
+    lengths; entries are plain numbers (use BIG, not inf)."""
+    d = WeightedGraph(lengths).lengths.copy()
     n = d.shape[0]
     for k in range(n):
         for i in range(n):
@@ -277,9 +278,7 @@ def run_apsp(graph: WeightedGraph) -> np.ndarray:
     if n > 2:
         squarings = math.ceil(math.log2(n - 1))
         _check_exact_range(state, (2**squarings + 2) * np.max(np.abs(state)), f"{squarings} min-plus squarings")
-        cell = build_min_plus_square_cell(n)
-        for _ in range(squarings):
-            state = cell.evaluate(state)
+        state = build_min_plus_square_cell(n).run(state, np.zeros((squarings, 0)))[0][-1]
     return state.reshape(n, n)
 
 
@@ -440,8 +439,8 @@ def build_csp_network(n: int, c_star: int, resource_bound: float, source: int = 
         raise ValueError("need at least two vertices")
     if c_star < 1:
         raise ValueError("c_star must be >= 1")
-    if resource_bound < 0:
-        raise ValueError("resource_bound must be non-negative")
+    if not 0 <= resource_bound < math.inf:
+        raise ValueError(f"resource_bound must be finite and non-negative, not {resource_bound!r}")
     if not 0 <= source < n:
         raise ValueError("source out of range")
     num_arcs = _csp_arcs(n, c_star, source)
@@ -532,22 +531,10 @@ def run_csp(graph: WeightedGraph, c_star: int, limit) -> dict:
 # -- traveling salesperson -----------------------------------------------------
 
 
-def _tour_matrix(dist) -> np.ndarray:
-    """``dist`` as a float matrix, refused unless square, finite and of two vertices or more."""
-    d = np.asarray(dist, dtype=np.float64)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise ValueError("distance matrix must be square")
-    if not np.all(np.isfinite(d)):
-        raise ValueError("distances must be finite")
-    if d.shape[0] < 2:
-        raise SizeGuardError("a tour needs at least two vertices")
-    return d
-
-
 def tsp_brute_force(dist) -> float:
     """Shortest directed round trip by enumerating all (n-1)! permutations;
-    a matrix that is not square, not finite or under two vertices is refused as in :func:`run_tsp`."""
-    d = _tour_matrix(dist)
+    the matrix is read as a :class:`WeightedGraph`'s lengths, as in :func:`run_tsp`."""
+    d = WeightedGraph(dist).lengths
     n = d.shape[0]
     if n > ORACLE_MAX_VERTICES:
         raise SizeGuardError(f"permutation enumeration refuses n = {n} > {ORACLE_MAX_VERTICES}")
@@ -629,7 +616,8 @@ def _plus_input(f, idx, inputs):
 
 
 def run_tsp(dist) -> float:
-    """Optimal tour length of a complete directed distance matrix.
+    """Optimal tour length of a complete directed distance matrix, read as a
+    :class:`WeightedGraph`'s lengths (fewer than two vertices raise SizeGuardError).
 
     With M = max|distance| off the diagonal, every sum the network forms
     stays within 2 n M in size, partial sums included: each f(T, v) and
@@ -639,7 +627,7 @@ def run_tsp(dist) -> float:
     2 n M reaches 2**53 times the finest dyadic quantum of its distances
     is refused as in :func:`run_bellman_ford`, off-grid ones like 0.1 too.
     """
-    d = _tour_matrix(dist)
+    d = WeightedGraph(dist).lengths
     n = d.shape[0]
     off = _offdiag(d)
     _check_exact_range(off, 2 * n * np.max(np.abs(off), initial=0.0), f"a tour over {n} vertices")

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SizeGuardError
 from .knapsack_oracles import KnapsackInstance, integer_value, json_fields, json_list, number_value
 
 __all__ = [
@@ -160,7 +161,8 @@ class WeightedGraph:
     """Dense digraph: length matrix, optional resource matrix, source vertex.
 
     Each matrix is a numeric array or a list of rows of numbers; bools,
-    strings and None are refused with ValueError."""
+    strings and None are refused with ValueError, and fewer than two
+    vertices with SizeGuardError (a ValueError)."""
 
     lengths: np.ndarray
     resources: np.ndarray | None = None
@@ -171,7 +173,7 @@ class WeightedGraph:
         if lengths.ndim != 2 or lengths.shape[0] != lengths.shape[1]:
             raise ValueError("length matrix must be square")
         if lengths.shape[0] < 2:
-            raise ValueError("need at least two vertices")
+            raise SizeGuardError("need at least two vertices")
         if not np.all(np.isfinite(lengths)):
             raise ValueError("lengths must be finite")
         object.__setattr__(self, "lengths", lengths)
@@ -252,8 +254,10 @@ def gen_graph(
     """
     if n < 2:
         raise ValueError("need at least two vertices")
-    if max_len <= 0:
-        raise ValueError("max_len must be positive")
+    if not 0 < max_len < np.inf:
+        raise ValueError(f"max_len must be finite and positive, not {max_len!r}")
+    if integer_lengths and max_len < 1:
+        raise ValueError(f"max_len must be at least 1 for integer lengths, not {max_len!r}")
     rng = SplitMix64(seed)
 
     def matrix(draw):  # row-major draws off the diagonal

@@ -1,11 +1,12 @@
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
 
-from dpnets import dp_nn, fptas_nn
+from dpnets import co_builders, dp_nn, fptas_nn, instance_gen
 from dpnets.cli import main
 from dpnets.relu_core import MAX_ARCS
 from dpnets.verify import capped_instance
@@ -103,6 +104,37 @@ def test_build_tsp_guard(capped_cli):
     assert str(MAX_ARCS) in run.stderr
 
 
+GRAPH_PARAMETERS = {
+    "resource-bound-inf": (lambda: co_builders.build_csp_network(3, 2, math.inf),
+                           ["build", "csp", "--n", "3", "--c-star", "2", "--resource-bound", "inf"], "resource_bound"),
+    "resource-bound-nan": (lambda: co_builders.build_csp_network(3, 2, math.nan),
+                           ["build", "csp", "--n", "3", "--c-star", "2", "--resource-bound", "nan"], "resource_bound"),
+    "max-len-nan": (lambda: instance_gen.gen_graph(3, math.nan, 1),
+                    ["gen", "graph", "--n", "3", "--seed", "1", "--max-len", "nan"], "max_len"),
+    "max-len-inf": (lambda: instance_gen.gen_graph(3, math.inf, 1),
+                    ["gen", "graph", "--n", "3", "--seed", "1", "--max-len", "inf"], "max_len"),
+    "integer-max-len-below-1": (lambda: instance_gen.gen_graph(3, 0.5, 1, integer_lengths=True),
+                                ["gen", "graph", "--n", "3", "--seed", "1", "--max-len", "0.5", "--integer-lengths"],
+                                "max_len"),
+}
+
+
+@pytest.mark.parametrize("case", list(GRAPH_PARAMETERS))
+def test_graph_parameters_refused_before_anything_is_built(case, capsys, monkeypatch):
+    # unchecked, an infinite bound built every layer before "arc weights must be finite"
+    def refuse(*args, **kwargs):
+        raise AssertionError("started building before the parameter was checked")
+
+    monkeypatch.setattr(co_builders, "check_arc_budget", refuse)
+    monkeypatch.setattr(instance_gen, "SplitMix64", refuse)
+    call, args, name = GRAPH_PARAMETERS[case]
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        call()
+    code, out, err = run_cli(args, capsys)
+    assert code == 1 and not out
+    assert err.startswith(f"error: {name} must be") and err.count("\n") == 1
+
+
 def test_gen_deterministic_and_valid(capsys):
     code, out1, _ = run_cli(["gen", "knapsack", "--p-star", "20", "--seed", "7"], capsys)
     assert code == 0
@@ -158,6 +190,18 @@ def test_verify_refuses_instances_past_brute_force(command, tmp_path, capsys, mo
 def test_bench_guard(capsys):
     with pytest.raises(SystemExit):
         main(["bench", "--max-items", "30"])
+
+
+@pytest.mark.parametrize("command", [["verify", "--kind", "co"], ["bench"]], ids=lambda c: c[0])
+def test_a_run_of_no_trials_is_refused(command, tmp_path, capsys):
+    # unchecked, verify reported "0/0 checks passed" and bench wrote a header-only CSV, both exiting 0
+    out_file = tmp_path / "out.csv"
+    for trials in ("0", "-1"):
+        extra = ["--out", str(out_file)] if command == ["bench"] else []
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--trials", trials, *extra])
+        assert exc.value.code == f"error: --trials must be at least 1, not {trials}"
+    assert capsys.readouterr().out == "" and not out_file.exists()
 
 
 def test_bench_refuses_unreachable_item_cap(capsys):

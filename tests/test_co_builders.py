@@ -385,6 +385,15 @@ def test_tsp_oracle_refuses_what_the_network_refuses(dist, error):
         tsp_brute_force(dist)
 
 
+@pytest.mark.parametrize("reader", [run_tsp, tsp_brute_force, floyd_warshall, big_value],
+                         ids=lambda f: f.__name__)
+def test_raw_matrices_are_read_as_graphs(reader):
+    # read with a float conversion, the first matrix was the distances [[0, 1], [1, 0]]
+    for matrix in ([[0, True], ["1", 0]], [[0, None], [1, 0]]):
+        with pytest.raises(ValueError, match="is not a number"):
+            reader(matrix)
+
+
 @pytest.mark.parametrize("bad", [True, "1", None], ids=["bool", "string", "none"])
 def test_graph_refuses_an_entry_that_is_not_a_number(bad):
     with pytest.raises(ValueError, match="is not a number"):

@@ -75,3 +75,21 @@ def test_every_private_helper_is_used():
         if not any(other[2] == label and other[:2] != (name, line) for other in read)
     ]
     assert orphans == []
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "relu_core"])
+def test_only_relu_core_steps_a_network(name):
+    # a loop that evaluates the same network on every pass steps it by hand: ReluNetwork.run is that loop
+    tree = ast.parse(inspect.getsource(importlib.import_module(f"dpnets.{name}")))
+    stepped = []
+    for loop in ast.walk(tree):
+        if isinstance(loop, (ast.For, ast.While)):
+            bound = {node.id for node in ast.walk(loop)
+                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+            stepped += [
+                f"line {call.lineno}: {ast.unparse(call.func)}"
+                for call in ast.walk(loop)
+                if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute) and call.func.attr == "evaluate"
+                and not {node.id for node in ast.walk(call.func.value) if isinstance(node, ast.Name)} & bound
+            ]
+    assert stepped == []
