@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import lru_cache
-from itertools import permutations
+from itertools import chain, permutations
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .relu_core import (
     _merge,
     _min_arcs,
     _min_tree,
+    _split,
     _take,
     _tree_arcs,
     check_arc_budget,
@@ -431,6 +432,15 @@ def build_csp_network(n: int, c_star: int, resource_bound: float, source: int = 
     BIG_R - sum(keeps).  Edges from the source use the constant base row
     f(., source) = 0; lengths beyond c_star simply never match a gate.
 
+    Layers: the gate pairs, then per budget c = 1..c_star a keep layer and
+    the ceil(log2(n + 1)) rounds of a minimum tree per target, then the
+    output.  All budgets come from one set of index arrays: the keeps are
+    indexed by (c, hop, k), their reads of f(c - k, u) are closed-form
+    (BIG_R minus popcount(n) tree neurons of budget c - k), and one
+    ``min_reduce_many`` call runs every budget's trees as its runs.  Each
+    budget's layers are then cut out of the merged result, so the build
+    makes the same number of array calls whatever c_star is.
+
     The network has ``_csp_arcs(n, c_star, source)`` arcs, about
     2 n**2 c_star**2 (4,892 at n = 5, c_star = 10); a size whose count
     exceeds ``relu_core.MAX_ARCS`` is refused before anything is built.
@@ -449,8 +459,6 @@ def build_csp_network(n: int, c_star: int, resource_bound: float, source: int = 
     gate = 2.0 * big_r
     edges = n * (n - 1)  # inputs: the lengths c(u, v), then the resources r(u, v)
     t = n - 1
-    targets = np.delete(np.arange(n), source)
-    layers = []
 
     # Gate pair (plus, minus) of the test c(u, v) == k, for the j-th edge into a
     # target (u-major) and k = 1..c_star: neurons 2 (j c_star + k - 1) + {0, 1}.
@@ -458,47 +466,84 @@ def build_csp_network(n: int, c_star: int, resource_bound: float, source: int = 
     into = (eu != ev) & (ev != source)
     eu, ev = eu[into], ev[into]
     gate_k = gate * np.tile(np.arange(1, c_star + 1), eu.size)
-    layers.append((
+    gates = (
         [(0, np.repeat(_edge(n, eu, ev), 2 * c_star), np.arange(2 * gate_k.size), np.tile([gate, -gate], gate_k.size))],
         np.column_stack((-gate_k, gate_k)).ravel(),
-    ))
+    )
 
-    # Hop (u, v) for each target v and u != v, v-major.  The table is the rows of
-    # `parts` stacked: row 0 is the source's constant 0, row 1 the constant BIG_R
-    # of a budget c <= 0, and then f(c, v) for c = 1, 2, ... is row
-    # (c - 1) t + row_of[v], one part per budget.
+    # All budgets are written at once, and each budget's layers are cut out of
+    # the result.  Budget c = 1..c_star owns layer keep(c) = 2 + (c - 1)(rounds
+    # + 1), its selector, and layer keep(c) + s + 1, round s + 1 of its minimum
+    # tree over n + 1 rows per target.  The output layer comes last.
+    rounds = n.bit_length()
+    keep_layer = 2 + (rounds + 1) * np.arange(-1, c_star)  # entry c: budget c's, c >= 1
+    out_layer = int(keep_layer[-1]) + rounds + 1
+    pairs = np.append(((n >> np.arange(rounds)) + 1) // 2, 1)  # per target and round, then the output
+    bits = np.flatnonzero((n >> np.arange(rounds)) & 1)
+
+    # From c = 1 on, the tree leaves f(c, v) as its last row, the constant BIG_R,
+    # minus the neuron of each round s + 1 in which bit s of n is set: pair
+    # n >> s + 1 of v's run.  So any row can read f before its tree is written.
+    def f_neurons(c, j):
+        """Layers and indices of the neurons that f(c, v) subtracts from BIG_R,
+        one row per entry, for the j-th target v and c >= 1."""
+        return keep_layer[c][:, None] + 1 + bits, pairs[bits] * j[:, None] + (n >> bits + 1)
+
+    # Hop (c, u, v) for each budget c, target v and u != v: c-major, then v-major.
+    # Its keeps are keep (c, v, u, k) = relu(BIG_R - f(c - k, u) - plus - minus)
+    # for k = 1..kmax, indexed by (c, hop, k); u = source reads the constant 0 up
+    # to k = c.  Keep rows list f's neurons, then plus and minus.
     edge = np.argsort(ev, kind="stable")  # each hop's edge
-    hop_u, from_source = eu[edge], eu[edge] == source
-    resource = edges + _edge(n, eu[edge], ev[edge])
-    row_of = np.zeros(n, dtype=np.int64)
-    row_of[targets] = 2 + np.arange(t)
-    hop_at = np.arange(t * (n - 1)).reshape(t, n - 1)  # the n - 1 hops into each target
-    none = np.zeros(0, dtype=np.int64)
-    parts = [([(none, none, none, np.zeros(0))], np.array([0.0, big_r]))]
-    for c in range(1, c_star + 1):
-        # keep (v, u, k) = relu(BIG_R - f(c - k, u) - plus - minus) for k = 1..kmax;
-        # u = source reads the constant 0 up to k = c.
-        kmax = np.where(from_source, c, c - 1)
-        hop = np.repeat(np.arange(kmax.size), kmax)
-        keep = np.arange(hop.size)
-        k = keep - (np.cumsum(kmax) - kmax)[hop] + 1
-        g = 2 * (c_star * edge[hop] + k - 1)
-        read = np.where(from_source[hop], 0, (c - k - 1) * t + row_of[hop_u[hop]])
-        [(sl, si, row, coef)], const = _take(parts, read)
-        layers.append(([(sl, si, row, -coef), (1, g, keep, -1.0), (1, g + 1, keep, -1.0)], big_r - const))
-        # hop(u, v) = BIG_R - (its keeps) + r(u, v)
-        end = np.cumsum(kmax + 1) - 1
-        terms = end[-1] + 1
-        sl, si, coef = np.zeros(terms, dtype=np.int64), np.zeros(terms, dtype=np.int64), np.zeros(terms)
-        sl[keep + hop], si[keep + hop], coef[keep + hop] = len(layers), keep, -1.0
-        si[end], coef[end] = resource, 1.0
-        hop_rows = [(sl, si, np.repeat(np.arange(kmax.size), kmax + 1), coef)], np.full(kmax.size, big_r)
-        # group v of the minimum: f(c - 1, v), the n - 1 hops into v, BIG_R (row 1)
-        previous = np.full(t, 1) if c == 1 else (c - 2) * t + 2 + np.arange(t)
-        group = np.column_stack((previous, 2 + (c - 1) * t + hop_at, np.ones(t, dtype=np.int64))).ravel()
-        parts.append(min_reduce_many(layers, _take([*parts, hop_rows], group), n + 1))
+    from_source = eu[edge] == source
+    kmax = (np.arange(c_star)[:, None] + from_source).ravel()
+    hop = np.repeat(np.arange(kmax.size), kmax)
+    keep = np.arange(hop.size)
+    k = keep - (np.cumsum(kmax) - kmax)[hop] + 1
+    budget, j = np.divmod(hop, edge.size)  # budget c - 1, and the hop's edge
+    first = np.searchsorted(budget, np.arange(c_star + 1))  # budget c's keeps start at first[c - 1]
+    g = 2 * (c_star * edge[j] + k - 1)
+    u, p = eu[edge[j]], bits.size
+    sl, si = np.ones((keep.size, p + 2), dtype=np.int64), np.empty((keep.size, p + 2), dtype=np.int64)
+    sl[:, :p], si[:, :p] = f_neurons(budget + 1 - k, u - (u > source))
+    si[:, p], si[:, p + 1] = g, g + 1
+    listed = np.ones(sl.shape, dtype=bool)
+    listed[from_source[j], :p] = False
+    row = np.broadcast_to(keep[:, None], sl.shape)[listed]
+    sl, si, coef = sl[listed], si[listed], np.broadcast_to(np.repeat([1.0, -1.0], [p, 2]), sl.shape)[listed]
 
-    net = network_from_blocks(2 * edges, [*layers, _take(parts, np.arange(2, 2 + c_star * t))])
+    # hop(c, u, v) = BIG_R - (its keeps) + r(u, v)
+    end = np.cumsum(kmax + 1) - 1
+    terms = end[-1] + 1
+    hop_sl, hop_si, hop_coef = np.zeros(terms, dtype=np.int64), np.zeros(terms, dtype=np.int64), np.zeros(terms)
+    hop_sl[keep + hop], hop_si[keep + hop], hop_coef[keep + hop] = keep_layer[budget + 1], keep - first[budget], -1.0
+    hop_si[end], hop_coef[end] = edges + np.tile(_edge(n, eu[edge], ev[edge]), c_star), 1.0
+    hop_rows = [(hop_sl, hop_si, np.repeat(np.arange(kmax.size), kmax + 1), hop_coef)], np.full(kmax.size, big_r)
+    keep_bias = np.where(from_source[j], big_r, 0.0)
+    del hop, keep, k, budget, j, g, u, listed  # freed before the trees' merge, a large build's peak
+
+    # Run (c - 1) t + j of the minimum: f(c - 1, v), the n - 1 hops into v and
+    # BIG_R.  Row c t + j of `table` is f(c, v) for c < c_star, and f(0, v) is
+    # the constant BIG_R, so row 0 serves as BIG_R.  min_reduce_many numbers its rounds' layers from
+    # len(scratch), here past every real layer, so that no tree neuron shares
+    # a key with another source.
+    run = np.arange(c_star * t)
+    tl, ti = f_neurons(1 + run[: -t] // t, run[: -t] % t)
+    table = [(tl.ravel(), ti.ravel(), np.repeat(t + run[: -t], p), np.full(tl.size, -1.0))], np.full(run.size, big_r)
+    group = np.column_stack((run, run.size + (n - 1) * run[:, None] + np.arange(n - 1),
+                             np.zeros(run.size, dtype=np.int64))).ravel()
+    scratch = [None] * out_layer
+    out = min_reduce_many(scratch, _take([table, hop_rows], group), n + 1)
+
+    # Give each tree neuron its budget's layer and index, in place, and cut the
+    # keeps and each round into budgets.
+    rounds_out = [*scratch[out_layer:], out]
+    for per, ([(tsl, tsi, at, _)], _) in zip(t * pairs, rounds_out):
+        mine = tsl > out_layer
+        b, s = at[mine] // per, tsl[mine] - out_layer - 1
+        tsl[mine], tsi[mine] = keep_layer[b + 1] + 1 + s, tsi[mine] - b * t * pairs[s]
+    keeps = _split(([(sl, si, row, coef)], keep_bias), first)
+    trees = [_split(part, per * np.arange(c_star + 1)) for per, part in zip(t * pairs, rounds_out[:-1])]
+    net = network_from_blocks(2 * edges, [gates, *chain.from_iterable(zip(keeps, *trees)), out])
     return _checked(net, num_arcs)
 
 
@@ -508,6 +553,19 @@ def run_csp(graph: WeightedGraph, c_star: int, limit) -> dict:
 
     Lengths must be integers >= 1 off the diagonal (the table is indexed
     by length); `limit` must lie below the BIG_R surrogate.
+
+    With R the largest resource, every sum the network forms stays within
+    BIG_R + R in size, partial sums included: a keep is BIG_R - f or 0, a
+    hop BIG_R - keep + r, and every table value and minimum lies in
+    [0, BIG_R + R].  A row ``b - a`` of a minimum tree sums b's terms less
+    a's, column by column, and the partial sums of either side stay within
+    [-BIG_R, R], since its value lies in [0, BIG_R + R] and its bias is
+    BIG_R.  The gate pairs need only their sign.  A graph where BIG_R + R reaches 2**53
+    times the finest dyadic quantum of its off-diagonal resources and BIG_R
+    is refused with NumericOverflowError, off-grid resources like 0.1 too.
+    Below that bound f(c, v) is the exact resource total of a path, as in
+    :func:`enumerate_csp_lengths`, and RESOURCE_TOL only widens the limit:
+    both count a path whose total is at most ``limit + RESOURCE_TOL``.
     """
     n, lengths = graph.n, graph.lengths
     if graph.resources is None:
@@ -520,8 +578,10 @@ def run_csp(graph: WeightedGraph, c_star: int, limit) -> dict:
     big_r = _unreachable(n, resource_bound)
     if not 0 <= limit < big_r:
         raise ValueError(f"resource limit must lie in [0, {big_r})")
+    resources = _offdiag(graph.resources)
+    _check_exact_range(np.append(resources, big_r), big_r + resource_bound, f"a constrained-path table over {n} vertices")
     network = build_csp_network(n, c_star, resource_bound, graph.source)
-    out = network.evaluate(np.concatenate([_offdiag(lengths), _offdiag(graph.resources)]))
+    out = network.evaluate(np.concatenate([_offdiag(lengths), resources]))
     within = out.reshape(c_star, n - 1) <= limit + RESOURCE_TOL  # row c - 1: f(c, v) per target v
     targets = np.delete(np.arange(n), graph.source).tolist()
     hits = zip(targets, within.any(axis=0).tolist(), within.argmax(axis=0).tolist())

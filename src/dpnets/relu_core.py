@@ -520,6 +520,15 @@ def _take(parts, idx):
     return [(sl[term], si[term], at, coef[term])], np.concatenate([const for _, const in parts])[idx]
 
 
+def _split(part, starts):
+    """The one-block layer `part` cut before each row of `starts` (0 first, its row
+    count last): one one-block layer per piece, its rows numbered from 0."""
+    [(sl, si, row, coef)], const = part
+    cut = np.searchsorted(row, starts)
+    return [([(sl[a:b], si[a:b], row[a:b] - r0, coef[a:b])], const[r0:r1])
+            for a, b, r0, r1 in zip(cut, cut[1:], starts, starts[1:])]
+
+
 # -- minimum gadgets -------------------------------------------------------
 
 
@@ -581,40 +590,50 @@ def min_reduce_many(layers: list, rows, m: int):
     b's neurons, -a's terms and a's neurons, and a run's output row the
     terms and neurons of its last value.  One :func:`_merge` call writes
     the rows of every round, merging the sources that a shares with b by
-    its order rule.
+    its order rule.  The plan of one run, every pair of every round, is
+    array arithmetic on m; all runs share it.
     """
     if m == 1:
         return rows
     [(layer, index, row, weight)], const = rows
     base = len(layers)
-    rnd, la, lb = np.array([*_min_tree(m)], dtype=np.int64).T
-    # Per round, the last rows of the values b and a of each pair; one more
-    # round is the output, whose one value per run ends at row m - 1.
-    b_last, a_last = ([last[rnd == r] for r in range(1, rnd[-1] + 1)] for last in (lb, la))
-    b_last.append(np.array([m - 1]))
-    pairs = np.array([last.size for last in b_last])
-    run = np.arange(const.size // m)[:, None]
-    offsets = np.cumsum([0, *(pairs * run.size)])  # where each round's rows start
+    # The plan of one run.  Round r has pairs[r - 1] pairs; one more round is
+    # the output, whose one value ends at row m - 1.  Pair i of round r combines
+    # the values a and b that end at rows (2i + 1) 2**(r - 1) - 1 and
+    # (2i + 2) 2**(r - 1) - 1 (cut at m - 1).
+    r = np.arange(1, (m - 1).bit_length() + 2)
+    pairs = (((m - 1) >> (r - 1)) + 1) // 2
+    pairs[-1] = 1
+    first = np.cumsum(pairs) - pairs  # each round's first pair
+    rnd = np.repeat(r, pairs)
+    i = np.arange(rnd.size) - first[rnd - 1]
+    b_last = np.minimum((2 * i + 2) << (rnd - 1), m) - 1
+    a_last = ((2 * i + 1) << (rnd - 1)) - 1
+    # Every row of the result, round after round, run after run: its run and pair.
+    runs = const.size // m
+    offsets = np.zeros(r.size + 1, dtype=np.int64)  # where each round's rows start
+    np.cumsum(pairs * runs, out=offsets[1:])
+    row_rnd = np.repeat(r, pairs * runs)
+    run, place = np.divmod(np.arange(offsets[-1]) - offsets[row_rnd - 1], pairs[row_rnd - 1])
+    pair = first[row_rnd - 1] + place
 
-    # The rows b and a of every pair, round after round and run after run:
-    # their terms, then the neurons subtracted from them in earlier rounds.
+    # The rows b and a of every pair and run: their terms, then the neurons
+    # subtracted from them in earlier rounds.
     ptr = np.searchsorted(row, np.arange(const.size + 1))
     terms, groups = [], []
-    for lasts, sign in ((b_last, 1.0), (a_last, -1.0)):
-        groups.append(np.concatenate([(m * run + last).ravel() for last in lasts]))
+    for last, sign, row_pair in ((b_last, 1.0, pair), (a_last, -1.0, pair[: offsets[-2]])):
+        groups.append(m * run[: row_pair.size] + last[row_pair])
         at, term = _gather(ptr, groups[-1])
         terms.append((at, layer[term], index[term], sign * weight[term]))
-        for r, last in enumerate(lasts[1:], start=2):
-            i, s = np.nonzero((last[:, None] >> np.arange(r - 1)) & 1)  # bit s: a neuron of round s + 1
-            at = offsets[r - 1] + pairs[r - 1] * run + i
-            neuron = pairs[s] * run + (last[i] >> (s + 1))
-            terms.append((at.ravel(), np.tile(base + 1 + s, run.size), neuron.ravel(), np.full(neuron.size, -sign)))
+        # bit s of a pair's last row, s + 1 below its round: a neuron of round s + 1
+        p, s = np.nonzero((last[:, None] >> r[:-1] - 1) & 1 & (r[:-1] < rnd[:, None]))
+        at, e = _gather(np.searchsorted(p, np.arange(last.size + 1)), row_pair)
+        s = s[e]
+        terms.append((at, base + 1 + s, pairs[s] * run[at] + (last[p[e]] >> (s + 1)), np.full(at.size, -sign)))
     gb, ga = groups
     bias = np.concatenate((const[gb[: ga.size]] - const[ga], const[gb[ga.size :]]))
-    [(sl, si, at, coef)], bias = _merge(*map(np.concatenate, zip(*terms)), bias)
-    cut = np.searchsorted(at, offsets)
-    parts = [([(sl[t0:t1], si[t0:t1], at[t0:t1] - r0, coef[t0:t1])], bias[r0:r1])
-             for t0, t1, r0, r1 in zip(cut, cut[1:], offsets, offsets[1:])]
+    del run, place, pair, row_rnd, groups, gb, ga  # freed before the merge, a large call's peak
+    parts = _split(_merge(*map(np.concatenate, zip(*terms)), bias), offsets)
     layers += parts[:-1]
     return parts[-1]
 

@@ -90,7 +90,7 @@ def test_tsp_network(n):
 @pytest.mark.parametrize("n", range(2, 7))
 def test_csp_network(n):
     for c_star in range(1, 12):
-        for source in (0, n - 1):
+        for source in (0, n // 2, n - 1):
             for bound in (0, 2.5, 3):
                 # BIG_R is in the weights: gates 2 BIG_R, keep and hop biases BIG_R
                 assert_same(co_builders.build_csp_network(n, c_star, bound, source),

@@ -290,6 +290,67 @@ def test_csp_requires_resources():
         run_csp(g, 5, 1.0)
 
 
+def _csp_matrices(resource_top):
+    """Lengths 1..3 and integer resources below `resource_top` on five vertices, zero diagonals."""
+    rng = np.random.default_rng(5)
+    lengths = rng.integers(1, 4, (5, 5)).astype(float)
+    resources = rng.integers(0, resource_top, (5, 5)).astype(float)
+    np.fill_diagonal(lengths, 0.0)
+    np.fill_diagonal(resources, 0.0)
+    return lengths, resources
+
+
+def test_csp_refuses_resources_past_the_exact_range():
+    # BIG_R is past 2**53 here; unchecked, vertex 3 read unreachable where the enumeration gives 3
+    g = WeightedGraph(*_csp_matrices(2**50))
+    limit = g.resources[0, 3]
+    assert limit == 441_808_375_019_137 and enumerate_csp_lengths(g, limit)[3] == 3
+    with pytest.raises(NumericOverflowError):
+        run_csp(g, 4, limit)
+
+
+def test_csp_exact_at_the_largest_admitted_magnitude():
+    top = (2**53 - 3) // 11  # BIG_R + R = 11 R + 2 on five vertices, below 2**53
+    lengths, resources = _csp_matrices(top)
+    resources[1, 2] = top
+    g = WeightedGraph(lengths, resources)
+    for limit in np.unique(resources):
+        want = {v: (d if d is not None and d <= 4 else None) for v, d in enumerate_csp_lengths(g, limit).items()}
+        assert run_csp(g, 4, limit) == want
+    resources[1, 2] = top + 1
+    with pytest.raises(NumericOverflowError):
+        run_csp(WeightedGraph(lengths, resources), 4, 0.0)
+
+
+def test_csp_refuses_off_grid_resources():
+    g = WeightedGraph([[0, 1, 2], [1, 0, 1], [1, 1, 0]], [[0, 0.1, 0.3], [0.1, 0, 0.2], [0.2, 0.1, 0]])
+    with pytest.raises(NumericOverflowError):
+        run_csp(g, 3, 0.3)
+
+
+def test_csp_build_calls_do_not_grow_with_the_budget(monkeypatch):
+    # every budget's keeps, hops and trees come from one set of index arrays
+    def counting(calls, name):
+        real = getattr(co_builders, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return call
+
+    counts = []
+    for c_star in (2, 11):
+        calls = dict.fromkeys(("min_reduce_many", "_take"), 0)
+        with monkeypatch.context() as patch:
+            for name in calls:
+                patch.setattr(co_builders, name, counting(calls, name))
+            build_csp_network(5, c_star, 2.5)
+        counts.append(calls)
+    assert counts[0] == counts[1]
+    assert counts[0]["min_reduce_many"] == 1
+
+
 def test_csp_network_shape():
     n, c_star = 4, 6
     net = build_csp_network(n, c_star, 2.0)
