@@ -37,6 +37,7 @@ from .relu_core import (
     _merge,
     _min_arcs,
     _min_tree,
+    _rounds,
     _split,
     _take,
     _tree_arcs,
@@ -194,9 +195,8 @@ def build_bellman_ford_cell(graph: WeightedGraph) -> ReluNetwork:
     check_arc_budget(num_arcs, f"the relaxation cell for n = {n}")
     # group v holds f_prev[u] + c(u, v) for u = 0..n-1
     rows = [(np.zeros(n * n, dtype=np.int64), np.tile(np.arange(n), n), np.arange(n * n), np.ones(n * n))]
-    layers = []
-    outs = min_reduce_many(layers, (rows, graph.lengths.T.ravel() + 0.0), n)
-    return _checked(network_from_blocks(n, [*layers, outs]), num_arcs)
+    layers = min_reduce_many((rows, graph.lengths.T.ravel() + 0.0), n, 0)
+    return _checked(network_from_blocks(n, layers), num_arcs)
 
 
 def run_bellman_ford(graph: WeightedGraph) -> np.ndarray:
@@ -257,9 +257,7 @@ def build_min_plus_square_cell(n: int) -> ReluNetwork:
     u, v, k = (a.ravel() for a in np.indices((n, n, n)))
     sums = _merge(np.repeat(np.arange(n**3), 2), np.zeros(2 * n**3, dtype=np.int64),
                   np.column_stack((u * n + k, k * n + v)).ravel(), np.ones(2 * n**3), np.zeros(n**3))
-    layers = []
-    outs = min_reduce_many(layers, sums, n)
-    return _checked(network_from_blocks(n * n, [*layers, outs]), num_arcs)
+    return _checked(network_from_blocks(n * n, min_reduce_many(sums, n, 0)), num_arcs)
 
 
 def run_apsp(graph: WeightedGraph) -> np.ndarray:
@@ -326,8 +324,10 @@ def _offdiag(matrix) -> np.ndarray:
 
 def _listings(m: int, row: int) -> int:
     """How many hidden rows of the minimum tree over m rows list the terms of `row`:
-    the pairs of a value ending at `row`."""
-    return sum(row in (la, lb) for _, la, lb in _min_tree(m))
+    the rounds in which value j = row >> (r - 1), the one holding `row`, ends at
+    `row` and is paired."""
+    return sum((j := row >> (r - 1)) < 2 * pairs and min((j + 1) << (r - 1), m) - 1 == row
+               for r, pairs in _rounds(m))
 
 
 def _bf_arcs(n: int) -> int:
@@ -475,10 +475,10 @@ def build_csp_network(n: int, c_star: int, resource_bound: float, source: int = 
     # the result.  Budget c = 1..c_star owns layer keep(c) = 2 + (c - 1)(rounds
     # + 1), its selector, and layer keep(c) + s + 1, round s + 1 of its minimum
     # tree over n + 1 rows per target.  The output layer comes last.
-    rounds = n.bit_length()
+    pairs = np.array([p for _, p in _rounds(n + 1)] + [1])  # per target and round, then the output
+    rounds = pairs.size - 1
     keep_layer = 2 + (rounds + 1) * np.arange(-1, c_star)  # entry c: budget c's, c >= 1
     out_layer = int(keep_layer[-1]) + rounds + 1
-    pairs = np.append(((n >> np.arange(rounds)) + 1) // 2, 1)  # per target and round, then the output
     bits = np.flatnonzero((n >> np.arange(rounds)) & 1)
 
     # From c = 1 on, the tree leaves f(c, v) as its last row, the constant BIG_R,
@@ -523,27 +523,25 @@ def build_csp_network(n: int, c_star: int, resource_bound: float, source: int = 
 
     # Run (c - 1) t + j of the minimum: f(c - 1, v), the n - 1 hops into v and
     # BIG_R.  Row c t + j of `table` is f(c, v) for c < c_star, and f(0, v) is
-    # the constant BIG_R, so row 0 serves as BIG_R.  min_reduce_many numbers its rounds' layers from
-    # len(scratch), here past every real layer, so that no tree neuron shares
-    # a key with another source.
+    # the constant BIG_R, so row 0 serves as BIG_R.  The rounds' layers are
+    # numbered past every real layer, so that no tree neuron shares a key with
+    # another source.
     run = np.arange(c_star * t)
     tl, ti = f_neurons(1 + run[: -t] // t, run[: -t] % t)
     table = [(tl.ravel(), ti.ravel(), np.repeat(t + run[: -t], p), np.full(tl.size, -1.0))], np.full(run.size, big_r)
     group = np.column_stack((run, run.size + (n - 1) * run[:, None] + np.arange(n - 1),
                              np.zeros(run.size, dtype=np.int64))).ravel()
-    scratch = [None] * out_layer
-    out = min_reduce_many(scratch, _take([table, hop_rows], group), n + 1)
+    rounds_out = min_reduce_many(_take([table, hop_rows], group), n + 1, out_layer)
 
     # Give each tree neuron its budget's layer and index, in place, and cut the
     # keeps and each round into budgets.
-    rounds_out = [*scratch[out_layer:], out]
     for per, ([(tsl, tsi, at, _)], _) in zip(t * pairs, rounds_out):
         mine = tsl > out_layer
         b, s = at[mine] // per, tsl[mine] - out_layer - 1
         tsl[mine], tsi[mine] = keep_layer[b + 1] + 1 + s, tsi[mine] - b * t * pairs[s]
     keeps = _split(([(sl, si, row, coef)], keep_bias), first)
     trees = [_split(part, per * np.arange(c_star + 1)) for per, part in zip(t * pairs, rounds_out[:-1])]
-    net = network_from_blocks(2 * edges, [gates, *chain.from_iterable(zip(keeps, *trees)), out])
+    net = network_from_blocks(2 * edges, [gates, *chain.from_iterable(zip(keeps, *trees)), rounds_out[-1]])
     return _checked(net, num_arcs)
 
 
@@ -650,11 +648,11 @@ def build_tsp_network(n: int) -> ReluNetwork:
         v = members.ravel()[entry]
         u = members.ravel()[entry - p + q + (q >= p)]
         prev = rank[sets[entry // t] ^ (1 << (big - v))] * (t - 1) + q
-        f = min_reduce_many(layers, _plus_input(f, prev, _edge(n, u, v)), t - 1)
+        *hidden, f = min_reduce_many(_plus_input(f, prev, _edge(n, u, v)), t - 1, len(layers))
+        layers += hidden
         rank[sets] = np.arange(sets.size)
-    closing = _plus_input(f, np.arange(big), _edge(n, np.arange(1, n), 0))
-    tour = min_reduce_many(layers, closing, big)
-    return _checked(network_from_blocks(n * (n - 1), [*layers, tour]), num_arcs)
+    layers += min_reduce_many(_plus_input(f, np.arange(big), _edge(n, np.arange(1, n), 0)), big, len(layers))
+    return _checked(network_from_blocks(n * (n - 1), layers), num_arcs)
 
 
 def _plus_input(f, idx, inputs):

@@ -552,16 +552,14 @@ def _min_tree(m: int):
             yield r, ((2 * i + 1) << (r - 1)) - 1, min((2 * i + 2) << (r - 1), m) - 1
 
 
-def _tree_neurons(r: int, lb: int) -> int:
-    """Earlier neurons in the hidden row of a round-r pair whose right operand
-    ends at row lb: r - 1 of the left operand, one per set low bit of lb."""
-    return r - 1 + (lb & ((1 << (r - 1)) - 1)).bit_count()
-
-
 def _tree_arcs(m: int) -> int:
-    """N(m): arcs from earlier tree neurons into the hidden rows of one minimum tree over m rows."""
-    # every pair but a round's last has an uncut right operand
-    return sum(2 * (pairs - 1) * (r - 1) + _tree_neurons(r, min(2 * pairs << (r - 1), m) - 1)
+    """N(m): arcs from earlier tree neurons into the hidden rows of one minimum tree over m rows.
+
+    The hidden row of a round-r pair lists r - 1 neurons of its left operand
+    and one per set low bit of the last row of its right operand: r - 1 but
+    in a round's last pair, whose right operand may be cut at m.
+    """
+    return sum((2 * pairs - 1) * (r - 1) + ((min(2 * pairs << (r - 1), m) - 1) & ((1 << (r - 1)) - 1)).bit_count()
                for r, pairs in _rounds(m))
 
 
@@ -572,16 +570,17 @@ def _min_arcs(m: int) -> int:
     return 2 * (m - 1) + _tree_arcs(m) + 1 + (m - 1).bit_count()
 
 
-def min_reduce_many(layers: list, rows, m: int):
+def min_reduce_many(rows, m: int, base: int) -> list:
     """Reduce each run of m consecutive rows of a one-block layer to its minimum, in lockstep.
 
-    All runs advance one pairwise round of :func:`_min_tree` per hidden
-    layer: a and b become ``b - relu(b - a)``.  So `layers` gains
-    ceil(log2(m)) layers and each run costs m - 1 neurons.  The affine
-    outputs of one round feed the next round's rectifiers directly (no
-    relay neurons), which is what keeps the depth logarithmic.  Returns
-    a one-block layer with one row per run, ready to be the next layer
-    or the output layer as it is.
+    All runs advance one pairwise round of :func:`_rounds` per hidden
+    layer: a and b become ``b - relu(b - a)``.  So each run costs m - 1
+    neurons over ceil(log2(m)) hidden layers, numbered from ``base + 1``.
+    The affine outputs of one round feed the next round's rectifiers
+    directly (no relay neurons), which is what keeps the depth
+    logarithmic.  Returns every layer written: the hidden rounds in
+    order, then a one-block layer with one row per run, ready to be the
+    next layer or the output layer as it is (``[rows]`` when m = 1).
 
     The tree fixes every index.  A value whose last row is L is row L
     minus the neuron of each round s in which it was a right operand b,
@@ -594,16 +593,14 @@ def min_reduce_many(layers: list, rows, m: int):
     array arithmetic on m; all runs share it.
     """
     if m == 1:
-        return rows
+        return [rows]
     [(layer, index, row, weight)], const = rows
-    base = len(layers)
     # The plan of one run.  Round r has pairs[r - 1] pairs; one more round is
     # the output, whose one value ends at row m - 1.  Pair i of round r combines
     # the values a and b that end at rows (2i + 1) 2**(r - 1) - 1 and
     # (2i + 2) 2**(r - 1) - 1 (cut at m - 1).
-    r = np.arange(1, (m - 1).bit_length() + 2)
-    pairs = (((m - 1) >> (r - 1)) + 1) // 2
-    pairs[-1] = 1
+    pairs = np.array([p for _, p in _rounds(m)] + [1])
+    r = np.arange(1, pairs.size + 1)
     first = np.cumsum(pairs) - pairs  # each round's first pair
     rnd = np.repeat(r, pairs)
     i = np.arange(rnd.size) - first[rnd - 1]
@@ -633,9 +630,7 @@ def min_reduce_many(layers: list, rows, m: int):
     gb, ga = groups
     bias = np.concatenate((const[gb[: ga.size]] - const[ga], const[gb[ga.size :]]))
     del run, place, pair, row_rnd, groups, gb, ga  # freed before the merge, a large call's peak
-    parts = _split(_merge(*map(np.concatenate, zip(*terms)), bias), offsets)
-    layers += parts[:-1]
-    return parts[-1]
+    return _split(_merge(*map(np.concatenate, zip(*terms)), bias), offsets)
 
 
 def min_n_gadget(n: int) -> ReluNetwork:
@@ -651,10 +646,9 @@ def min_n_gadget(n: int) -> ReluNetwork:
         raise ValueError("minimum of zero values is undefined")
     num_arcs = _min_arcs(n)
     check_arc_budget(num_arcs, f"the minimum of {n} values")
-    layers = []
     idx = np.arange(n)
-    out = min_reduce_many(layers, ([(np.zeros(n, dtype=np.int64), idx, idx, np.ones(n))], np.zeros(n)), n)
-    return _checked(network_from_blocks(n, [*layers, out]), num_arcs)
+    layers = min_reduce_many(([(np.zeros(n, dtype=np.int64), idx, idx, np.ones(n))], np.zeros(n)), n, 0)
+    return _checked(network_from_blocks(n, layers), num_arcs)
 
 
 # -- recurrent unfolding ---------------------------------------------------

@@ -23,9 +23,10 @@ def instance_stream(base_seed, count, p_star_lo, p_star_hi, max_items):
 @pytest.fixture
 def capped_cli():
     """Run the CLI on a list of arguments in a child process capped at 1 GB of
-    address space; return the completed process.  Were a size guard gone, an
-    oversized build would fail its first large allocation instead of taking
-    the machine's memory."""
+    address space and 60 s; return the completed process.  Were a size guard
+    gone, an oversized build would fail its first large allocation instead of
+    taking the machine's memory, and a guard that loops fails its test
+    instead of stalling the suite."""
 
     def run(args):
         limit = 2**30
@@ -33,6 +34,6 @@ def capped_cli():
                 f"from dpnets.cli import main; sys.exit(main({list(args)!r}))")
         env = dict(os.environ)
         env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-        return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
 
     return run

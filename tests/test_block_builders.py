@@ -87,7 +87,7 @@ def test_tsp_network(n):
     assert_same(co_builders.build_tsp_network(n), ref.build_tsp_network(n))
 
 
-@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("n", range(2, 9))
 def test_csp_network(n):
     for c_star in range(1, 12):
         for source in (0, n // 2, n - 1):

@@ -107,6 +107,12 @@ def test_csp_refused_above_budget_before_building(n, no_build):
         build_csp_network(n, c_star - 1, 1.0)
 
 
+def test_csp_refused_far_above_budget_before_building(no_build):
+    # the counts go by round, not by pair of the 2**40 + 1-row tree
+    with pytest.raises(SizeGuardError):
+        build_csp_network(2**40, 1, 1.0)
+
+
 def test_tsp_refused_above_budget_before_building(no_build):
     n = 2
     while _tsp_arcs(n) <= MAX_ARCS:
@@ -140,6 +146,13 @@ def test_apsp_refused_above_budget_before_building(no_build):
 def test_cli_refuses_apsp_above_budget(capped_cli):
     # the 160M-arc build, were the guard gone
     run = capped_cli(["build", "apsp", "--n", "300"])
+    assert run.returncode == 1
+    assert run.stdout == ""
+    assert run.stderr.startswith("error: ") and str(MAX_ARCS) in run.stderr
+
+
+def test_cli_refuses_csp_far_above_budget(capped_cli):
+    run = capped_cli(["build", "csp", "--n", str(2**40), "--c-star", "1"])
     assert run.returncode == 1
     assert run.stdout == ""
     assert run.stderr.startswith("error: ") and str(MAX_ARCS) in run.stderr
