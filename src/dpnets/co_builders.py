@@ -148,19 +148,28 @@ def run_lcs(pair: IntSequencePair) -> int:
     The cell reads each symbol's rank among both sequences' symbols, a
     small integer, so its equality gate is exact for any integers.  The
     points of one anti-diagonal i + j = d read only earlier diagonals, so
-    each diagonal is one batched evaluation.
+    each diagonal is one batched evaluation.  The inputs of every point are
+    one array, its symbol columns written once; a diagonal only reads its
+    three table values from the flat table.
     """
     m, n = pair.m, pair.n
     cell = build_lcs_cell(max(m, n))
     rank = {s: r for r, s in enumerate(sorted(set(pair.x) | set(pair.y)))}
     x, y = (np.array([rank[s] for s in seq], dtype=np.float64) for seq in (pair.x, pair.y))
-    f = np.zeros((m + 1, n + 1))
-    for d in range(2, m + n + 1):
-        i = np.arange(max(1, d - n), min(m, d - 1) + 1)
-        j = d - i
-        inputs = np.column_stack((f[i - 1, j - 1], f[i - 1, j], f[i, j - 1], x[i - 1], y[j - 1]))
-        f[i, j] = cell.evaluate_batch(inputs)[:, 0]
-    return int(round(f[m, n]))
+    # every point (i, j) of [m] x [n], diagonal by diagonal, i increasing along each
+    i, j = np.divmod(np.arange(m * n), n)
+    order = np.argsort(i + j, kind="stable")
+    i, j = i[order] + 1, j[order] + 1
+    cut = np.searchsorted(i + j, np.arange(2, m + n + 2))  # where each diagonal starts, then the point count
+    f = np.zeros((m + 1) * (n + 1))  # the table, row i from i (n + 1)
+    at = i * (n + 1) + j
+    near = at[:, None] - np.array([n + 2, n + 1, 1])  # (i - 1, j - 1), (i - 1, j) and (i, j - 1)
+    inputs = np.empty((m * n, 5))
+    inputs[:, 3], inputs[:, 4] = x[i - 1], y[j - 1]
+    for a, b in zip(cut.tolist(), cut[1:].tolist()):
+        inputs[a:b, :3] = f[near[a:b]]
+        f[at[a:b]] = cell.evaluate_batch(inputs[a:b])[:, 0]
+    return int(round(f[-1]))
 
 
 # -- single-source shortest paths (Bellman-Ford) ------------------------------

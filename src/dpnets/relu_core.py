@@ -20,7 +20,8 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from importlib.machinery import EXTENSION_SUFFIXES
-from itertools import accumulate, chain
+from itertools import accumulate, chain, groupby
+from math import isfinite
 
 import numpy as np
 
@@ -263,13 +264,22 @@ class ReluNetwork:
         The arrays are exactly those ``scipy.sparse.csr_matrix`` builds
         from the arcs as COO, dtypes included: the size guard keeps every
         index within int32.  Built arcs come grouped by neuron, so rows are
-        sorted only for shuffled documents, and a layer whose rows list
-        their columns strictly increasing is used as stored.  Any other
-        layer runs, on a copy of its weights, the kernels behind scipy's
-        ``sum_duplicates``: ``csr_sort_indices`` if a row lists a column
-        out of order, then ``csr_sum_duplicates``, which sums a repeated
-        (neuron, source) pair in scipy's order, then a trim to the summed
-        length.
+        sorted only for shuffled documents, and a network whose rows all
+        list their columns strictly increasing is sliced into layers as
+        stored, its column indices cast to int32 in one call.
+
+        Otherwise each run of consecutive layers that list a column out of
+        order or twice runs, on one copy of its weights, the kernels behind
+        scipy's ``sum_duplicates``, each once for the whole run:
+        ``csr_sort_indices`` on the rows of every stretch of layers that list
+        a column out of order (the kernel reads absolute row pointers, and
+        sorts each row on its own), then ``csr_sum_duplicates``, which sums a
+        repeated (neuron, source) pair in scipy's order and is the identity
+        on a row without repeats.  A layer that lists its columns in order
+        but repeats a pair is summed unsorted, as scipy sums it: its sort is
+        unstable above 16 entries.  The exact knapsack cell has no such run,
+        and of the other built networks only the rounded cell and
+        ``unfold`` have more than one.
         """
         off = self._bounds
         start = np.asarray(off)
@@ -281,21 +291,47 @@ class ReluNetwork:
             row, col, w = row[order], col[order], w[order]
         ptr = np.zeros(off[-1] - off[1] + 1, dtype=np.int32)
         np.cumsum(np.bincount(row, minlength=ptr.size - 1), out=ptr[1:])
+        same = row[1:] == row[:-1]
+        del row
         # arc i + 1 repeats or undercuts the column of arc i in the same row
-        unsorted = (row[1:] == row[:-1]) & (col[1:] <= col[:-1])
-        compiled = []
-        for l in range(1, len(off) - 1):
-            r0, r1 = off[l] - off[1], off[l + 1] - off[1]
-            n_row, n_col, a, b = r1 - r0, off[l], ptr[r0], ptr[r1]
-            indptr, indices, data = ptr[r0 : r1 + 1] - a, col[a:b].astype(np.int32), w[a:b]
-            if unsorted[a:b].any():
-                data = data.copy()
-                if (unsorted[a:b] & (np.diff(col[a : b + 1]) != 0)).any():
-                    csr_sort_indices(n_row, indptr, indices, data)
-                csr_sum_duplicates(n_row, n_col, indptr, indices, data)
-                indices, data = indices[: indptr[-1]], data[: indptr[-1]]
-            compiled.append((n_row, n_col, indptr, indices, data))
+        unsorted = same & (col[1:] <= col[:-1])
+        rows = [b - off[1] for b in off[1:]]  # each layer's first row, then the row count
+        kind = [0] * (len(rows) - 1)  # per layer: 0 in order, 1 repeats a pair, 2 lists a column out of order
+        if unsorted.any():
+            code = np.zeros(col.size, dtype=np.int8)  # arcs i and i + 1 as `kind` rates them, 0 for the last arc
+            np.add(unsorted, same & (col[1:] < col[:-1]), out=code[:-1], dtype=np.int8)
+            first = ptr[rows]  # each layer's first arc, then the arc count
+            # reduceat gives a layer without arcs the code of one arc of another; np.where rates it 0
+            top = np.maximum.reduceat(code, np.minimum(first[:-1], col.size - 1))
+            kind = np.where(first[1:] > first[:-1], top, 0).tolist()
+        col = col.astype(np.int32)
+        compiled, l = [], 0
+        for dirty, run in groupby(kind, bool):
+            run = list(run)
+            # layers l + 1 to l + len(run): row pointers p, from the layers' first row, into j and x
+            at = [r - rows[l] for r in rows[l : l + len(run) + 1]]  # where each layer's rows start in p
+            p, j, x = ptr[rows[l] : rows[l] + at[-1] + 1], col, w
+            if dirty:
+                a, b = p[0], p[-1]
+                p, j, x = p - a, col[a:b], w[a:b].copy()
+                s = 0
+                for rating, stretch in groupby(run):
+                    e = s + len(list(stretch))
+                    if rating == 2:
+                        csr_sort_indices(at[e] - at[s], p[at[s] :], j, x)
+                    s = e
+                csr_sum_duplicates(at[-1], off[l + len(run)], p, j, x)
+            arcs = p[at].tolist()
+            for q0, q1, a, b, n_col in zip(at, at[1:], arcs, arcs[1:], off[l + 1 :]):
+                compiled.append((q1 - q0, n_col, p[q0 : q1 + 1] - a, j[a:b], x[a:b]))
+            l += len(run)
         return compiled
+
+    @cached_property
+    def _biases(self):
+        """Per layer, its bias array, or None where every entry is zero: adding
+        zero to a sum that starts from +0.0 changes no byte."""
+        return tuple(b if b.any() else None for b in self._bias_arrays)
 
     def _forward(self, x):
         """Every neuron's output, inputs first: a vector for one input, a
@@ -303,23 +339,28 @@ class ReluNetwork:
 
         Each layer is ``W @ outs + bias`` summed in scipy's order (from zero,
         then the arcs in column order, then the bias), checked for
-        non-finite values before the rectifier can hide a -inf.
+        non-finite values before the rectifier can hide a -inf.  A zero
+        bias is skipped: ``csr_matvec`` sums from the +0.0 of the zeroed
+        buffer, a sum that is never -0.0, so adding zero would change
+        nothing.  The check is one reduction, the sum of squares, which is
+        finite only if every entry is; only a sum that is not finite (a
+        non-finite entry, or squares that sum past the double range) pays for the
+        entry-by-entry test.
         """
         off = self._bounds
         batch = x.ndim == 2
         outs = np.zeros((off[-1], x.shape[0]) if batch else off[-1])
         outs[: off[1]] = x.T
         k = self.depth
-        for l, (n_row, n_col, indptr, indices, data) in enumerate(self._compiled, start=1):
+        for l, (n_row, n_col, indptr, indices, data), bias in zip(range(1, k + 1), self._compiled, self._biases):
             a = outs[off[l] : off[l + 1]]
-            bias = self._bias_arrays[l - 1]
             if batch:
                 csr_matvecs(n_row, n_col, x.shape[0], indptr, indices, data, outs, a)
-                bias = bias[:, None]
             else:
                 csr_matvec(n_row, n_col, indptr, indices, data, outs, a)
-            a += bias
-            if not np.isfinite(a).all():
+            if bias is not None:
+                a += bias[:, None] if batch else bias
+            if not isfinite(np.vdot(a, a)) and not np.isfinite(a).all():
                 raise NumericOverflowError(f"non-finite activation in layer {l}")
             if l < k:
                 np.maximum(a, 0.0, out=a)
@@ -381,7 +422,8 @@ class ReluNetwork:
         for l, arr in enumerate(self._bias_arrays, start=1):
             idx = np.flatnonzero(arr)
             biases += ([l, i, b] for i, b in zip(idx.tolist(), arr[idx].tolist()))
-        return {"layers": list(self.layer_sizes), "arcs": list(map(list, self.arcs)), "biases": biases}
+        arcs = zip(*(a.tolist() for a in (self._sl, self._si, self._tl, self._ti, self._w)))
+        return {"layers": list(self.layer_sizes), "arcs": list(map(list, arcs)), "biases": biases}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ReluNetwork":

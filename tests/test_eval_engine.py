@@ -5,12 +5,14 @@ the old evaluator.  The compiled arrays must equal scipy's canonical CSR
 array for array, and ``evaluate``, ``evaluate_layers`` and every row of
 ``evaluate_batch`` must give the same bytes, on every family of
 networks the package builds and on JSON networks whose arcs come in any
-order or repeat a (neuron, source) pair.
+order or repeat a (neuron, source) pair.  No test here may emit a
+``RuntimeWarning``.
 """
 
 import json
 import sys
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,11 +20,13 @@ from hypothesis import given, settings
 
 import reference_builders as ref
 from test_serialization import layered_networks
-from dpnets import co_builders, dp_nn, fptas_nn
+from dpnets import co_builders, dp_nn, fptas_nn, relu_core
 from dpnets.errors import NumericOverflowError, ShapeMismatchError, SizeGuardError
 from dpnets.instance_gen import SplitMix64, gen_graph
 from dpnets.relu_core import MAX_ARCS, ReluNetwork, min_n_gadget
 from dpnets.verify import grid_values
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def grid_inputs(net, seed, count=3):
@@ -169,6 +173,45 @@ def test_ascending_row_with_repeats():
     assert_engine_matches(net, grid_inputs(net, 6))
 
 
+def count_kernel_calls(monkeypatch):
+    """A Counter of the calls `_compiled` makes to the sort and merge kernels from now on."""
+    calls = Counter()
+    for name in ("csr_sort_indices", "csr_sum_duplicates"):
+
+        def counted(*args, name=name, kernel=getattr(relu_core, name)):
+            calls[name] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(relu_core, name, counted)
+    return calls
+
+
+def test_sorted_and_merged_layers_apart(monkeypatch):
+    # layer 1 lists a column out of order; layer 2 lists its columns in order
+    # but repeats a pair in a row of 40 arcs, which scipy merges unsorted (as
+    # in test_ascending_row_with_repeats); layer 3 lists a column out of order
+    # again; the output layer is in order
+    row = [[0, si, 2, 0, float(si + 1)] for si in range(24)]
+    arcs = [[0, 3, 1, 0, 1.0], [0, 1, 1, 0, -1.0], [0, 0, 1, 1, 2.0]]
+    arcs += row[:6] + [[0, 5, 2, 0, w] for w in 4 * REPEATS] + row[6:] + [[1, 0, 2, 0, 1.0], [1, 1, 2, 0, 0.5]]
+    arcs += [[2, 0, 3, 0, 1.0], [0, 2, 3, 0, -1.0], [0, 4, 3, 1, 1.0]]
+    arcs += [[3, 0, 4, 0, 1.0], [3, 1, 4, 0, -2.0]]
+    net = ReluNetwork.from_json_dict(json.loads(json.dumps({"layers": [24, 2, 1, 2, 1], "arcs": arcs})))
+    calls = count_kernel_calls(monkeypatch)
+    assert net._compiled[1][4][5] == 9.0
+    # one merge for the run of layers 1 to 3, one sort each for layers 1 and 3
+    assert calls == {"csr_sort_indices": 2, "csr_sum_duplicates": 1}
+    assert_engine_matches(net, grid_inputs(net, 8))
+
+
+def test_csp_network_sorts_and_merges_in_one_call_each(monkeypatch):
+    net = co_builders.build_csp_network(5, 10, 2.5)
+    calls = count_kernel_calls(monkeypatch)
+    net._compiled
+    assert calls == {"csr_sort_indices": 1, "csr_sum_duplicates": 1}
+    assert_compiled_like_scipy(net)
+
+
 def test_empty_selector_layer():
     net = dp_nn.build_dp_cell(1).net
     n_row, n_col, indptr, indices, data = net._compiled[1]
@@ -208,6 +251,35 @@ def test_summation_order():
     assert want[0] == 2.0**53
     assert net.evaluate(x).tobytes() == want.tobytes()
     assert net.evaluate_batch([x]).tobytes() == want.tobytes()
+
+
+def test_zero_rows_give_positive_zero():
+    # rows whose arcs cancel exactly (x - x) and rows with no arcs, hidden and
+    # output, every bias zero (one listed as -0.0): the evaluator skips zero
+    # biases, the reference always adds them
+    arcs = [(0, 0, 1, 0, 1.0), (0, 1, 1, 0, -1.0), (0, 0, 1, 1, 1.0), (0, 1, 1, 2, 1.0)]
+    arcs += [(1, 1, 2, 0, 1.0), (1, 2, 2, 0, -1.0), (0, 0, 2, 2, -1.0), (0, 1, 2, 2, 1.0)]
+    net = ReluNetwork([2, 4, 3], arcs, [(1, 0, -0.0)])
+    xs = [[v, v] for v in (0.0, -0.0, 1.5, -2.0, 2.0**52 + 1)]
+    for x in xs:
+        outs = ref.reference_forward(net, x)
+        assert net.evaluate(x).tobytes() == outs[-3:].tobytes() == np.zeros(3).tobytes()
+        for got, want in zip(net.evaluate_layers(x), (outs[:2], outs[2:6], outs[6:])):
+            assert got.tobytes() == want.tobytes()
+    assert net.evaluate_batch(xs).tobytes() == np.zeros((len(xs), 3)).tobytes()
+
+
+def test_finite_values_whose_sum_overflows():
+    # both hidden values and both outputs are finite, but the sum of their
+    # squares, and for the two largest inputs their sum, is past the double range
+    net = ReluNetwork([1, 2, 2], [(0, 0, 1, 0, 1.0), (0, 0, 1, 1, 1.0), (1, 0, 2, 0, 1.0), (1, 1, 2, 1, 1.0)])
+    xs = [[1e308], [1e200], [-1e308], [np.finfo(float).max]]
+    for x in xs:
+        outs = ref.reference_forward(net, x)
+        assert np.isfinite(outs).all()
+        assert net.evaluate(x).tobytes() == outs[3:].tobytes() == np.array(2 * [max(x[0], 0.0)]).tobytes()
+        assert np.concatenate(net.evaluate_layers(x)).tobytes() == outs.tobytes()
+    assert_batch_matches(net, np.array(xs))
 
 
 def test_batch_shape_errors():
