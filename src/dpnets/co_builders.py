@@ -51,7 +51,6 @@ __all__ = [
     "ORACLE_MAX_VERTICES",
     "WeightedGraph",
     "bellman_ford_distances",
-    "big_value",
     "build_bellman_ford_cell",
     "build_csp_network",
     "build_lcs_cell",
@@ -77,14 +76,6 @@ ORACLE_MAX_VERTICES = 10
 def _unreachable(n: int, bound: float) -> float:
     """2*(n*bound + 1): above every path total over n vertices whose entries stay within `bound` in size."""
     return 2.0 * (n * bound + 1.0)
-
-
-def big_value(matrix) -> float:
-    """Unreachable-surrogate for a length/resource matrix: 2*(n*max|entry| + 1).
-
-    The matrix is read as a :class:`WeightedGraph`'s lengths."""
-    m = WeightedGraph(matrix).lengths
-    return _unreachable(m.shape[0], float(np.max(np.abs(m))))
 
 
 def _check_exact_range(values, magnitude: float, what: str):

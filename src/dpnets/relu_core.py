@@ -18,10 +18,10 @@ import importlib.util
 import os
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from importlib.machinery import EXTENSION_SUFFIXES
 from itertools import accumulate, chain, groupby
-from math import isfinite
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -74,6 +74,9 @@ __all__ = [
 # it every CSR index fits in int32.
 MAX_ARCS = 2**23
 
+# Pre-activations proven below this need no finiteness check (see ReluNetwork._overflow_gate).
+_OVERFLOW_LIMIT = 2.0**500
+
 
 def check_arc_budget(num_arcs: int, what: str) -> None:
     """Refuse a construction whose arc count, known before building, exceeds MAX_ARCS.
@@ -118,10 +121,15 @@ class ReluNetwork:
     layers through scipy's private ``scipy.sparse._sparsetools`` kernels
     (``csr_matvec``, and ``csr_matvecs`` for :meth:`evaluate_batch`) into
     one output buffer per call, so one network can be evaluated from
-    several threads at once.  The extension is loaded from its file without
-    importing ``scipy.sparse``, or through the normal import when it is
-    already imported or its file is missing or fails to load; the C
-    functions are the same either way.  All arithmetic is IEEE double precision.
+    several threads at once.  Each layer step is the sparse product, the
+    bias where it is nonzero and the rectifier on hidden layers.  Overflow
+    is tested once per call, on the inputs, against a magnitude bound
+    computed once per network (:attr:`_magnitude_bound`); only inputs it
+    cannot clear have every layer checked for non-finite values.  The
+    extension is loaded from its file without importing ``scipy.sparse``,
+    or through the normal import when it is already imported or its file
+    is missing or fails to load; the C functions are the same either way.
+    All arithmetic is IEEE double precision.
     The constructions in this package only combine small integers, halves
     and input-derived values, so they evaluate exactly while every
     integer-valued pre-activation stays below 2**53; each builder
@@ -328,41 +336,83 @@ class ReluNetwork:
         return compiled
 
     @cached_property
-    def _biases(self):
-        """Per layer, its bias array, or None where every entry is zero: adding
-        zero to a sum that starts from +0.0 changes no byte."""
-        return tuple(b if b.any() else None for b in self._bias_arrays)
+    def _steps(self):
+        """Per layer l, one step of :meth:`_forward`: ``(l, rows, n_row, n_col,
+        indptr, indices, data, bias, rectify)``, with `rows` the slice of the
+        concatenated outputs that the layer writes, its :attr:`_compiled`
+        arrays, its bias array or None where every entry is zero, and whether
+        it is hidden (rectified)."""
+        off, k = self._bounds, self.depth
+        return tuple(
+            (l, slice(off[l], off[l + 1]), *compiled, bias if bias.any() else None, l < k)
+            for l, compiled, bias in zip(range(1, k + 1), self._compiled, self._bias_arrays)
+        )
+
+    @cached_property
+    def _magnitude_bound(self) -> float:
+        """G: every |pre-activation| is at most max(1, max|x|) G on input x.
+
+        With R a bound on every row sum of |weight| and B one on every
+        |bias|, G_0 = 1, G_l = R max_{j<l} G_j + B and G = max_l G_l; by
+        induction, since the rectifier raises no magnitude, layer l's
+        outputs stay within max(1, max|x|) G_l.  A row sums |weight| over at
+        most all A arcs (summing a repeated pair only lowers it), so by
+        Cauchy-Schwarz R = sqrt(A S), with S the sum of every squared
+        weight; B = sqrt(sum of every squared bias).  Two reductions per
+        network, whatever its depth.
+        """
+        bias = np.concatenate(self._bias_arrays)
+        r, b = sqrt(self.num_arcs * float(np.vdot(self._w, self._w))), sqrt(np.vdot(bias, bias))
+        return reduce(lambda top, _: max(top, r * top + b), range(self.depth), 1.0)
+
+    @cached_property
+    def _overflow_gate(self) -> float:
+        """The bound on ``vdot(x, x)`` below which no value of :meth:`_forward`
+        can leave the double range: ``(2**500 / G)**2`` for G below 2**500,
+        else 0.0, which no input passes.
+
+        Under the gate max|x| < 2**500 / G, so every |pre-activation| is below
+        2**500.  Rounding raises a row's sum by at most A 2**-53 of its terms'
+        magnitude, compounded over at most ``MAX_ARCS`` layers: a factor below
+        1.01, far from the 2**524 left to the overflow.  With no infinity no
+        NaN can arise either: it needs inf - inf or 0 * inf.
+        """
+        g = self._magnitude_bound
+        q = _OVERFLOW_LIMIT / g
+        return q * q if g < _OVERFLOW_LIMIT else 0.0
 
     def _forward(self, x):
         """Every neuron's output, inputs first: a vector for one input, a
         (neurons, B) array for the B rows of a 2-D `x`.
 
-        Each layer is ``W @ outs + bias`` summed in scipy's order (from zero,
-        then the arcs in column order, then the bias), checked for
-        non-finite values before the rectifier can hide a -inf.  A zero
-        bias is skipped: ``csr_matvec`` sums from the +0.0 of the zeroed
-        buffer, a sum that is never -0.0, so adding zero would change
-        nothing.  The check is one reduction, the sum of squares, which is
-        finite only if every entry is; only a sum that is not finite (a
-        non-finite entry, or squares that sum past the double range) pays for the
-        entry-by-entry test.
+        Each layer step is ``W @ outs`` by ``csr_matvec`` (``csr_matvecs``
+        for a batch), summed in scipy's order from the +0.0 of the zeroed
+        buffer, then the bias where some entry is nonzero (adding zero to a
+        sum that is never -0.0 changes no byte), then the rectifier on
+        hidden layers.  The overflow test runs once per call, on the
+        inputs: ``vdot(x, x)`` below :attr:`_overflow_gate` proves every
+        value finite.  Otherwise (a NaN or infinite input, a huge one, or a
+        network whose bound reaches 2**500) each layer is checked before the
+        rectifier can hide a -inf, by one reduction, the sum of squares,
+        which is finite only if every entry is; only a sum that is not
+        finite pays for the entry-by-entry test.
         """
-        off = self._bounds
         batch = x.ndim == 2
-        outs = np.zeros((off[-1], x.shape[0]) if batch else off[-1])
-        outs[: off[1]] = x.T
-        k = self.depth
-        for l, (n_row, n_col, indptr, indices, data), bias in zip(range(1, k + 1), self._compiled, self._biases):
-            a = outs[off[l] : off[l + 1]]
+        n = self._bounds[-1]
+        outs = np.zeros((n, x.shape[0]) if batch else n)
+        outs[: self.n_inputs] = x.T
+        check = not np.vdot(x, x) < self._overflow_gate  # a NaN sum fails the test
+        for l, rows, n_row, n_col, indptr, indices, data, bias, rectify in self._steps:
+            a = outs[rows]
             if batch:
                 csr_matvecs(n_row, n_col, x.shape[0], indptr, indices, data, outs, a)
             else:
                 csr_matvec(n_row, n_col, indptr, indices, data, outs, a)
             if bias is not None:
                 a += bias[:, None] if batch else bias
-            if not isfinite(np.vdot(a, a)) and not np.isfinite(a).all():
+            if check and not isfinite(np.vdot(a, a)) and not np.isfinite(a).all():
                 raise NumericOverflowError(f"non-finite activation in layer {l}")
-            if l < k:
+            if rectify:
                 np.maximum(a, 0.0, out=a)
         return outs
 
@@ -398,11 +448,22 @@ class ReluNetwork:
         Returns ``(states, hidden)``: ``states[i]`` is the state after i
         steps (``states[0]`` is `state`); with `record_hidden`, ``hidden[i]``
         is step i + 1's :meth:`evaluate_layers` result, else ``hidden`` is None.
+
+        Every step writes its state and row into one input vector, reused
+        from step to step (each evaluation copies its inputs).  A state or
+        row of another length is joined into a new vector as it comes, so
+        :meth:`evaluate` refuses the same shapes with the same errors.
         """
         states = [state]
         hidden = [] if record_hidden else None
+        n = self.n_outputs
+        v = np.empty(self.n_inputs)
         for row in inputs:
-            x = np.concatenate([states[-1], row])
+            if len(states[-1]) == n and len(row) == v.size - n:
+                v[:n], v[n:] = states[-1], row
+                x = v
+            else:
+                x = np.concatenate([states[-1], row])
             if record_hidden:
                 hidden.append(self.evaluate_layers(x))
                 states.append(hidden[-1][-1])

@@ -448,8 +448,11 @@ def reference_compiled(net: ReluNetwork):
     return compiled
 
 
-def reference_forward(net: ReluNetwork, x, compiled=None):
-    """Every neuron's output, inputs first; pass `compiled` to reuse one compile."""
+def reference_forward(net: ReluNetwork, x, compiled=None, pre=None):
+    """Every neuron's output, inputs first; pass `compiled` to reuse one compile.
+
+    Pass a list as `pre` to receive each non-input layer's pre-activations,
+    before the rectifier."""
     compiled = reference_compiled(net) if compiled is None else compiled
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (net.layer_sizes[0],):
@@ -462,6 +465,8 @@ def reference_forward(net: ReluNetwork, x, compiled=None):
     k = net.depth
     for l, mat in enumerate(compiled, start=1):
         a = mat.dot(outs[: int(off[l])]) + net.biases_by_layer[l - 1]
+        if pre is not None:
+            pre.append(a.copy())
         if not np.all(np.isfinite(a)):
             raise NumericOverflowError(f"non-finite activation in layer {l}")
         if l < k:

@@ -8,7 +8,6 @@ from dpnets.co_builders import (
     IntSequencePair,
     WeightedGraph,
     bellman_ford_distances,
-    big_value,
     build_bellman_ford_cell,
     build_csp_network,
     build_lcs_cell,
@@ -206,7 +205,7 @@ def test_apsp_two_vertices_direct():
 
 
 def test_apsp_path_with_big_surrogate():
-    big = big_value([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    big = co_builders._unreachable(3, 1.0)  # above every path total over 3 vertices with lengths up to 1
     c = [[0, 1, big], [big, 0, 1], [big, big, 0]]
     g = WeightedGraph(c)
     d = run_apsp(g)
@@ -446,7 +445,7 @@ def test_tsp_oracle_refuses_what_the_network_refuses(dist, error):
         tsp_brute_force(dist)
 
 
-@pytest.mark.parametrize("reader", [run_tsp, tsp_brute_force, floyd_warshall, big_value],
+@pytest.mark.parametrize("reader", [run_tsp, tsp_brute_force, floyd_warshall],
                          ids=lambda f: f.__name__)
 def test_raw_matrices_are_read_as_graphs(reader):
     # read with a float conversion, the first matrix was the distances [[0, 1], [1, 0]]

@@ -5,11 +5,14 @@ the old evaluator.  The compiled arrays must equal scipy's canonical CSR
 array for array, and ``evaluate``, ``evaluate_layers`` and every row of
 ``evaluate_batch`` must give the same bytes, on every family of
 networks the package builds and on JSON networks whose arcs come in any
-order or repeat a (neuron, source) pair.  No test here may emit a
-``RuntimeWarning``.
+order or repeat a (neuron, source) pair.  The magnitude bound must hold
+on every construction's pre-activations, and an input on either side of
+the overflow gate must give the reference's bytes.  No test here may emit
+a ``RuntimeWarning``.
 """
 
 import json
+import math
 import sys
 import threading
 from collections import Counter
@@ -173,16 +176,16 @@ def test_ascending_row_with_repeats():
     assert_engine_matches(net, grid_inputs(net, 6))
 
 
-def count_kernel_calls(monkeypatch):
-    """A Counter of the calls `_compiled` makes to the sort and merge kernels from now on."""
+def count_calls(monkeypatch, owner, *names):
+    """A Counter of the calls made from now on to the functions `names` of module `owner`."""
     calls = Counter()
-    for name in ("csr_sort_indices", "csr_sum_duplicates"):
+    for name in names:
 
-        def counted(*args, name=name, kernel=getattr(relu_core, name)):
+        def counted(*args, name=name, function=getattr(owner, name)):
             calls[name] += 1
-            return kernel(*args)
+            return function(*args)
 
-        monkeypatch.setattr(relu_core, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -197,7 +200,7 @@ def test_sorted_and_merged_layers_apart(monkeypatch):
     arcs += [[2, 0, 3, 0, 1.0], [0, 2, 3, 0, -1.0], [0, 4, 3, 1, 1.0]]
     arcs += [[3, 0, 4, 0, 1.0], [3, 1, 4, 0, -2.0]]
     net = ReluNetwork.from_json_dict(json.loads(json.dumps({"layers": [24, 2, 1, 2, 1], "arcs": arcs})))
-    calls = count_kernel_calls(monkeypatch)
+    calls = count_calls(monkeypatch, relu_core, "csr_sort_indices", "csr_sum_duplicates")
     assert net._compiled[1][4][5] == 9.0
     # one merge for the run of layers 1 to 3, one sort each for layers 1 and 3
     assert calls == {"csr_sort_indices": 2, "csr_sum_duplicates": 1}
@@ -206,7 +209,7 @@ def test_sorted_and_merged_layers_apart(monkeypatch):
 
 def test_csp_network_sorts_and_merges_in_one_call_each(monkeypatch):
     net = co_builders.build_csp_network(5, 10, 2.5)
-    calls = count_kernel_calls(monkeypatch)
+    calls = count_calls(monkeypatch, relu_core, "csr_sort_indices", "csr_sum_duplicates")
     net._compiled
     assert calls == {"csr_sort_indices": 1, "csr_sum_duplicates": 1}
     assert_compiled_like_scipy(net)
@@ -337,6 +340,114 @@ def test_non_finite_raised_at_the_same_layer(case):
     with pytest.raises(NumericOverflowError) as new:
         net.evaluate_batch(np.vstack([good, [x], good]))
     assert str(new.value) == message
+
+
+def test_overflow_cases_take_the_checked_path():
+    # the per-layer check above runs only where the gate cannot prove the call finite
+    for net, x, _ in overflow_cases():
+        x = np.asarray(x, dtype=np.float64)
+        assert not np.vdot(x, x) < net._overflow_gate
+
+
+# -- the magnitude bound and the overflow gate ----------------------------------
+
+
+def bounded_networks():
+    """(name, builder): one or more networks of every construction, for the magnitude bound."""
+    graph = gen_graph(5, 9.0, 41, with_resources=True, integer_lengths=True)
+    nets = [(f"exact-{p}", lambda p=p: dp_nn.build_dp_cell(p).net) for p in (1, 12, 30)]
+    nets += [(f"rounded-{r}", lambda r=r: fptas_nn.build_fptas_cell(r).net) for r in (1, 6, 20)]
+    return nets + [
+        ("lcs", lambda: co_builders.build_lcs_cell(20)),
+        ("bellman-ford", lambda: co_builders.build_bellman_ford_cell(graph)),
+        ("all-pairs", lambda: co_builders.build_min_plus_square_cell(5)),
+        ("csp", lambda: co_builders.build_csp_network(5, 10, 2.5)),
+        ("tsp", lambda: co_builders.build_tsp_network(8)),
+        ("min-13", lambda: min_n_gadget(13)),
+        ("unfold-12-6", lambda: dp_nn.unfold_dp(12, 6)),
+    ]
+
+
+def up_to_the_gate(net, x):
+    """`x` scaled by the largest power of two, and by a factor just below the
+    largest one, that keeps ``vdot(x, x)`` under the network's gate."""
+    x = np.asarray(x, dtype=np.float64)
+    s, gate = np.vdot(x, x), net._overflow_gate
+    if not s or not gate:
+        return []
+    e = math.floor((math.log2(gate) - math.log2(s)) / 2)
+    while np.vdot(np.ldexp(x, e), np.ldexp(x, e)) >= gate:
+        e -= 1
+    scaled = [np.ldexp(x, e), x * (math.sqrt(gate) / math.sqrt(s) * (1 - 2.0**-30))]
+    assert all(np.vdot(y, y) < gate for y in scaled)
+    return scaled
+
+
+@pytest.mark.parametrize("name, build", bounded_networks(), ids=[name for name, _ in bounded_networks()])
+def test_pre_activations_within_the_magnitude_bound(name, build):
+    net = build()
+    g = net._magnitude_bound
+    assert 1.0 <= g
+    mats = ref.reference_compiled(net)
+    grid = grid_inputs(net, 400 + len(name), 4)
+    inputs = grid + [y for x in grid for y in up_to_the_gate(net, x)]
+    # every construction but the 42-layer CSP network has an open gate
+    assert len(inputs) > len(grid) or name == "csp"
+    for x in inputs:
+        pre = []
+        outs = ref.reference_forward(net, x, mats, pre)
+        peak = max(np.max(np.abs(a), initial=0.0) for a in pre)
+        assert peak <= max(1.0, np.max(np.abs(x))) * g
+        assert net.evaluate(x).tobytes() == outs[-net.n_outputs :].tobytes()
+
+
+@pytest.mark.parametrize(
+    "net",
+    [dp_nn.build_dp_cell(12).net, fptas_nn.build_fptas_cell(6).net, co_builders.build_lcs_cell(20)],
+    ids=["dp", "rounded", "lcs"],
+)
+def test_both_sides_of_the_gate(net, monkeypatch):
+    x = np.array(grid_inputs(net, 11, 1)[0])
+    gate = net._overflow_gate
+    scale = math.sqrt(gate) / math.sqrt(np.vdot(x, x))
+    below, above = x * (scale * (1 - 2.0**-30)), x * (scale * (1 + 2.0**-30))
+    assert np.vdot(below, below) < gate <= np.vdot(above, above)
+    off = ref.reference_offsets(net)
+    calls = count_calls(monkeypatch, np, "vdot", "isfinite")
+    for y, reductions in ((below, 1), (above, 1 + net.depth)):
+        outs = ref.reference_forward(net, y)
+        calls.clear()
+        assert net.evaluate(y).tobytes() == outs[off[-2] :].tobytes()
+        assert calls == {"vdot": reductions}  # the inputs' test, then one per layer past the gate
+        layers = net.evaluate_layers(y)
+        assert b"".join(a.tobytes() for a in layers) == outs.tobytes()
+        assert net.evaluate_batch([y, y]).tobytes() == np.vstack([outs[off[-2] :]] * 2).tobytes()
+    # with the gate shut, the input under it gives the same bytes through the per-layer check
+    bytes_below = [a.tobytes() for a in net.evaluate_layers(below)]
+    monkeypatch.setitem(net.__dict__, "_overflow_gate", 0.0)
+    assert [a.tobytes() for a in net.evaluate_layers(below)] == bytes_below
+
+
+def test_one_finiteness_reduction_per_evaluation(monkeypatch):
+    cell = dp_nn.build_dp_cell(12).net
+    x = np.array(grid_inputs(cell, 12, 1)[0])
+    cell.evaluate(x)  # compiles the cell and computes its bound
+    calls = count_calls(monkeypatch, np, "vdot", "isfinite")
+    for count in range(1, 4):
+        cell.evaluate(x)
+        assert calls == {"vdot": count}
+    calls.clear()
+    rows = [(3, 5), (1, 2), (4, 7), (2, 1), (5, 9)]
+    states, _ = cell.run(np.full(12, 2.0), rows)
+    assert calls == {"vdot": len(rows)}
+    assert len(states) == len(rows) + 1
+
+
+def test_run_refuses_a_row_of_another_length():
+    cell = dp_nn.build_dp_cell(3).net
+    for row in ((1, 2, 3), (1,)):  # a row of one entry would broadcast into a reused vector
+        with pytest.raises(ShapeMismatchError, match=f"expected input of length 5, got shape \\({3 + len(row)},\\)"):
+            cell.run(np.full(3, 2.0), [(1, 1), row])
 
 
 # -- sharing across threads -----------------------------------------------------
