@@ -34,6 +34,7 @@ from .relu_core import (
     MAX_ARCS,
     ReluNetwork,
     _checked,
+    _gather,
     _merge,
     _min_arcs,
     _min_tree,
@@ -195,7 +196,7 @@ def build_bellman_ford_cell(graph: WeightedGraph) -> ReluNetwork:
     check_arc_budget(num_arcs, f"the relaxation cell for n = {n}")
     # group v holds f_prev[u] + c(u, v) for u = 0..n-1
     rows = [(np.zeros(n * n, dtype=np.int64), np.tile(np.arange(n), n), np.arange(n * n), np.ones(n * n))]
-    layers = min_reduce_many((rows, graph.lengths.T.ravel() + 0.0), n, 0)
+    layers = min_reduce_many((rows, graph.lengths.T.ravel() + 0.0), [(n, n, 0)])
     return _checked(network_from_blocks(n, layers), num_arcs)
 
 
@@ -257,7 +258,7 @@ def build_min_plus_square_cell(n: int) -> ReluNetwork:
     u, v, k = (a.ravel() for a in np.indices((n, n, n)))
     sums = _merge(np.repeat(np.arange(n**3), 2), np.zeros(2 * n**3, dtype=np.int64),
                   np.column_stack((u * n + k, k * n + v)).ravel(), np.ones(2 * n**3), np.zeros(n**3))
-    return _checked(network_from_blocks(n * n, min_reduce_many(sums, n, 0)), num_arcs)
+    return _checked(network_from_blocks(n * n, min_reduce_many(sums, [(n * n, n, 0)])), num_arcs)
 
 
 def run_apsp(graph: WeightedGraph) -> np.ndarray:
@@ -531,7 +532,7 @@ def build_csp_network(n: int, c_star: int, resource_bound: float, source: int = 
     table = [(tl.ravel(), ti.ravel(), np.repeat(t + run[: -t], p), np.full(tl.size, -1.0))], np.full(run.size, big_r)
     group = np.column_stack((run, run.size + (n - 1) * run[:, None] + np.arange(n - 1),
                              np.zeros(run.size, dtype=np.int64))).ravel()
-    rounds_out = min_reduce_many(_take([table, hop_rows], group), n + 1, out_layer)
+    rounds_out = min_reduce_many(_take([table, hop_rows], group), [(run.size, n + 1, out_layer)])
 
     # Give each tree neuron its budget's layer and index, in place, and cut the
     # keeps and each round into budgets.
@@ -616,6 +617,20 @@ def build_tsp_network(n: int) -> ReluNetwork:
     the vertex set T, ending at v in T; the recursion minimizes over the
     predecessor.  Tours close with min_u(f(all, u) + c(u, start)).
 
+    Layers: for each cardinality t = 3..n - 1 in turn, the ceil(log2(t -
+    1)) rounds of a minimum tree over the t - 1 rows f(T - v, u) + c(u, v)
+    of each entry f(T, v); then the ceil(log2(n - 1)) rounds and the
+    output of the closing tree over the n - 1 rows f(all, u) + c(u,
+    start).  Cardinality 2 needs no layer: f({u, v}, v) is c(start, u) +
+    c(u, v).  No f(T, v) is a row of its own, as its terms are closed-form.
+    With T - v = {s_1 < ... < s_{t-1}}, they are the inputs along the path
+    start, s_1, ..., s_{t-1}, v, each followed by the tree neurons of the
+    entry it reaches, f({s_1, ..., s_i}, s_i) and last f(T, v): for an
+    entry of cardinality i, the neuron of each round r of its tree in
+    which bit r - 1 of i - 2 is set, rounds ascending.  So the rows of
+    every cardinality and of the closing tree come from one set of index
+    arrays, and one ``min_reduce_many`` call runs every tree, whatever n is.
+
     The network has ``_tsp_arcs(n)`` arcs, about 2.8x more per added
     vertex (10,380 at n = 8, 760,620 at n = 12); a size whose count
     exceeds ``relu_core.MAX_ARCS`` is refused before anything is built.
@@ -625,52 +640,90 @@ def build_tsp_network(n: int) -> ReluNetwork:
     num_arcs = _tsp_arcs(n, MAX_ARCS)
     check_arc_budget(num_arcs, f"the tour network for n = {n}")
     big = n - 1
-    # A set T of the vertices 1..N (N = n - 1) is the mask with bit N - x
-    # set for each x in T.  Masks of one size in decreasing order list
-    # their sets in lexicographic order, v ascending within each set, and
-    # rank[mask] is the set's place in that order.
+    # A set P of the vertices 1..N (N = n - 1) is the mask with bit N - x set
+    # for each x in P.  Masks of one size in decreasing order list their sets
+    # in lexicographic order, and rank[mask] is the set's place in that order.
+    # Entry f(P, x), for x the member at place k of P (ascending), is number
+    # where[P] + k: held[...] is P and vertex[...] is x.
     masks = np.arange(1 << big)
-    size = sum((masks >> b) & 1 for b in range(big))
-    rank = np.zeros(masks.size, dtype=np.int64)
-    rank[1 << (big - np.arange(1, n))] = np.arange(big)
-    # f({v}, v) = c(0, v)
-    f = [(np.zeros(big, dtype=np.int64), _edge(n, 0, np.arange(1, n)), np.arange(big), np.ones(big))], np.zeros(big)
-    layers = []
-    for t in range(2, n):
-        sets = masks[size == t][::-1]
-        members = np.nonzero((sets[:, None] >> (big - 1 - np.arange(big))) & 1)[1].reshape(-1, t) + 1
-        # Row f(T, v) = T's rank * t + v's place p in T; its group lists
-        # f(T - v, u) + c(u, v) for the other members u, ascending: the q-th of them
-        # has place q in T - v.
-        entry = np.repeat(np.arange(sets.size * t), t - 1)
-        q = np.tile(np.arange(t - 1), entry.size // (t - 1))
-        p = entry % t
-        v = members.ravel()[entry]
-        u = members.ravel()[entry - p + q + (q >= p)]
-        prev = rank[sets[entry // t] ^ (1 << (big - v))] * (t - 1) + q
-        *hidden, f = min_reduce_many(_plus_input(f, prev, _edge(n, u, v)), t - 1, len(layers))
-        layers += hidden
-        rank[sets] = np.arange(sets.size)
-    layers += min_reduce_many(_plus_input(f, np.arange(big), _edge(n, np.arange(1, n), 0)), big, len(layers))
+    held, vertex = np.nonzero((masks[:, None] >> (big - 1 - np.arange(big))) & 1)
+    vertex += 1
+    size = np.bincount(held, minlength=masks.size)
+    where = np.cumsum(size) - size
+    order = np.argsort((size << big) - masks)  # by size, each size in decreasing order
+    per_size = np.bincount(size, minlength=n)
+    rank = np.empty_like(masks)
+    rank[order] = masks - (np.cumsum(per_size) - per_size)[size[order]]
+    # Cardinality s's tree has ceil(log2(s - 1)) rounds, from layer base[s] + 1.
+    # Each of its minima is its last row minus the neuron of round b + 1 for
+    # each set bit b of s - 2, pair (s - 2) >> (b + 1) of its run; (card, bit)
+    # lists those bits from bits[s] on, ascending.
+    rounds = np.array([max(s - 2, 0).bit_length() for s in range(n + 1)])
+    base = np.cumsum(rounds) - rounds
+    card, bit = np.nonzero((np.maximum(np.arange(n) - 2, 0)[:, None] >> np.arange(big.bit_length())) & 1)
+    listed = np.bincount(card, minlength=n)
+    bits = np.cumsum(listed) - listed
+
+    # E(P, x), the terms that f(P, x) adds to f(P - x, y) for y = max(P - x):
+    # the input c(y, x), or c(start, x) when P = {x}, then the neurons that
+    # f(P, x)'s minimum subtracts, its run being rank[P] |P| + k.
+    s = size[held]
+    k = np.arange(held.size) - where[held]
+    length = 1 + listed[s]
+    e_ptr = np.zeros(held.size + 1, dtype=np.int64)
+    np.cumsum(length, out=e_ptr[1:])
+    at = np.repeat(np.arange(held.size), length)
+    nth = np.arange(at.size) - e_ptr[at]
+    neuron = np.flatnonzero(nth)
+    at = at[neuron]
+    tab = bits[s[at]] + nth[neuron] - 1
+    i, b = card[tab], bit[tab]
+    e_sl, e_si = np.zeros(nth.size, dtype=np.int32), np.empty(nth.size, dtype=np.int32)
+    e_coef = np.full(nth.size, -1.0)
+    e_sl[neuron] = base[i] + 1 + b
+    e_si[neuron] = ((((i - 2) >> b) + 1) // 2) * (rank[held[at]] * s[at] + k[at]) + ((i - 2) >> (b + 1))
+    e_si[e_ptr[:-1]] = _edge(n, np.where(s > 1, vertex[where[held] + s - 1 - (k == s - 1)], 0), vertex)
+    e_coef[e_ptr[:-1]] = 1.0
+    # F(S), the terms of f(S, max S): E(P, y) for each member y of S, ascending,
+    # and P the members of S up to y.  F(S) lists the E terms f_terms[f_ptr[S]:f_ptr[S + 1]].
+    prefix = where[held & -(1 << (big - vertex))] + k
+    f_ptr = np.zeros(held.size + 1, dtype=np.int64)
+    np.cumsum(length[prefix], out=f_ptr[1:])
+    f_ptr = f_ptr[np.append(where, held.size)]
+    f_terms = _gather(e_ptr, prefix)[1]
+
+    # The rows: for each set T of size 3..N in order, each entry f(T, v), v
+    # ascending, lists the rows f(T - v, u) + c(u, v) of the other members u,
+    # ascending, u at place q of T - v; then the closing rows f(all, u) + c(u,
+    # start).  With R = T - v (all, when closing), a row lists F(R - u), E(R,
+    # u), then the input c(u, v).
+    sets = order[size[order] >= 3]
+    t = size[sets]
+    count = t * (t - 1)
+    row_set = np.repeat(np.arange(sets.size), count)
+    p, q = np.divmod(np.arange(row_set.size) - (np.cumsum(count) - count)[row_set], t[row_set] - 1)
+    v = vertex[where[sets[row_set]] + p]
+    rest = np.append(sets[row_set] ^ (1 << (big - v)), np.full(big, masks[-1]))
+    v, q = np.append(v, np.zeros(big, dtype=np.int64)), np.append(q, np.arange(big))
+    e = where[rest] + q
+    u = vertex[e]
+    # Blocks F(S) are numbered by S, then the entries' blocks E, then each row's
+    # last input: one gather lists every row's three blocks.
+    final = e_ptr[-1] + np.arange(v.size + 1)
+    ptr = np.concatenate((f_ptr[:-1], f_terms.size + e_ptr[:-1], f_terms.size + final))
+    blocks = np.column_stack((rest ^ (1 << (big - u)), masks.size + e, masks.size + held.size + np.arange(v.size)))
+    place, pos = _gather(ptr, blocks.ravel())
+    term = np.concatenate((f_terms, np.arange(final[-1])))[pos]
+    del pos
+    # int32 indices: a large build's peak is the merge of every tree's terms
+    sl, si, coef = (np.concatenate(column, dtype=column[0].dtype)[term] for column in (
+        (e_sl, np.zeros(v.size, dtype=np.int32)), (e_si, _edge(n, u, v)), (e_coef, np.ones(v.size))))
+    rows = [(sl, si, np.floor_divide(place, 3, dtype=np.int32), coef)], np.zeros(v.size)
+    del term, place, sl, si, coef
+    groups = [(int(per_size[c]) * c, c - 1, int(base[c])) for c in range(3, n)] + [(1, big, int(base[n]))]
+    layers = min_reduce_many(rows, groups)
+    del rows  # freed before the network is assembled
     return _checked(network_from_blocks(n * (n - 1), layers), num_arcs)
-
-
-def _plus_input(f, idx, inputs):
-    """Rows `idx` of the one-block layer `f`, each plus one input: row i gains
-    the term of input ``inputs[i]``.
-
-    Every row of `f` has the same number of terms, none of them an input
-    that is added here.
-    """
-    [(sl, si, _, coef)], const = f
-    k = sl.size // const.size
-    terms = []
-    for a, new in ((sl, 0), (si, inputs), (coef, 1.0)):
-        rows = np.empty((idx.size, k + 1), dtype=a.dtype)
-        rows[:, :k], rows[:, k] = a.reshape(-1, k)[idx], new
-        terms.append(rows.ravel())
-    sl, si, coef = terms
-    return [(sl, si, np.repeat(np.arange(idx.size), k + 1), coef)], const[idx] + 0.0
 
 
 def run_tsp(dist) -> float:

@@ -159,11 +159,11 @@ class ReluNetwork:
         allocated.
         """
         sizes = tuple(_whole(_numbers(layer_sizes, (), "layer sizes must be a list of numbers")).tolist())
-        arcs = _numbers(arcs, (5,), "each arc must be 5 numbers").T
-        _check_size(sizes, arcs.shape[1])
-        sl, si, tl, ti = _whole(arcs[:4])
-        biases = _numbers(biases, (3,), "each bias must be 3 numbers").T
-        layer, idx = _whole(biases[:2])
+        ends, w = _rows(arcs, 5, "each arc must be 5 numbers")
+        _check_size(sizes, w.size)
+        sl, si, tl, ti = _whole(ends)
+        at, value = _rows(biases, 3, "each bias must be 3 numbers")
+        layer, idx = _whole(at)
         sz = np.asarray(sizes, dtype=np.int64)
         real = (layer >= 1) & (layer < sz.size)
         real[real] = idx[real] < sz[layer[real]]
@@ -171,11 +171,11 @@ class ReluNetwork:
             raise ConstructionError(f"bias for nonexistent neuron ({layer[~real][0]}, {idx[~real][0]})")
         start = np.cumsum(sz[1:]) - sz[1:]  # where each non-input layer starts in one bias vector
         flat = start[layer - 1] + idx
-        if np.unique(flat).size < flat.size:
-            raise ConstructionError("a neuron's bias is listed twice")
         bias = np.zeros(sz[1:].sum())
-        bias[flat] = biases[2]
-        self._init_from_arrays(sizes, sl, si, tl, ti, np.ascontiguousarray(arcs[4]), np.split(bias, start[1:]))
+        if np.bincount(flat, minlength=bias.size).max(initial=0) > 1:
+            raise ConstructionError("a neuron's bias is listed twice")
+        bias[flat] = value
+        self._init_from_arrays(sizes, sl, si, tl, ti, w, np.split(bias, start[1:]))
 
     @classmethod
     def _from_arrays(cls, layer_sizes, sl, si, tl, ti, w, bias_arrays):
@@ -514,9 +514,41 @@ def _numbers(values, row_shape: tuple, message: str) -> np.ndarray:
     return arr.astype(np.float64, copy=False)
 
 
+def _rows(values, width: int, message: str):
+    """`values` as rows of `width` numbers, else ConstructionError(message), as in :func:`_numbers`:
+    the first width - 1 columns as one (width - 1, rows) array, and the last as float64.
+
+    Rows given as a list of lists or tuples whose first width - 1 entries
+    are plain ints and whose last is an int or a float, as a JSON document
+    has them, are read without ``np.asarray``: the rows' types and lengths
+    and the entries' types are checked with one scan each, and each part
+    is read with one ``np.fromiter``, the first columns as int64.  Anything
+    else goes through :func:`_numbers`, and so does an int past the int64
+    range, which ``np.asarray`` reads as an object.
+    """
+    if type(values) is list and set(map(type, values)) <= {list, tuple} and set(map(len, values)) <= {width}:
+        first = list(chain.from_iterable(values))
+        last = first[width - 1 :: width]
+        del first[width - 1 :: width]
+        kinds = set(map(type, last))
+        if set(map(type, first)) <= {int} and kinds <= {int, float}:
+            try:
+                first, last = np.fromiter(first, np.int64, len(first)), np.fromiter(last, np.float64, len(last))
+            except OverflowError:
+                pass
+            else:
+                if int not in kinds or not (np.abs(last) >= 2.0**63).any():
+                    return first.reshape(-1, width - 1).T, last
+    arr = _numbers(values, (width,), message).T
+    return arr[:-1], np.ascontiguousarray(arr[-1])
+
+
 def _whole(values: np.ndarray) -> np.ndarray:
-    """Float sizes or indices as int64; negatives, fractions and values past 2**53 are refused."""
-    if not ((np.floor(values) == values) & (values >= 0) & (values <= 2**53)).all():
+    """Int or float sizes or indices as int64; negatives, fractions and values past 2**53 are refused."""
+    whole = (values >= 0) & (values <= 2**53)
+    if values.dtype.kind == "f":
+        whole &= np.floor(values) == values
+    if not whole.all():
         raise ConstructionError("layer sizes and indices must be whole numbers")
     return values.astype(np.int64, order="C")
 
@@ -582,31 +614,38 @@ def _merge(row, sl, si, coef, const):
     source whose coefficients cancel keeps its place; only
     :func:`network_from_blocks` drops the zero weight.
 
-    Both sorts run on one int64 key per term, ``row * span + sl *
-    (max_si + 1) + si`` and then ``row * span + first occurrence``, with
-    span at least the number of terms.  A call whose ``(max_row + 1) *
-    span`` reaches 2**63 would overflow them and is refused with
-    :class:`SizeGuardError`.
+    The first sort runs on one int64 key per term, ``row * span + sl *
+    (max_si + 1) + si`` with ``span = (max_sl + 1) * (max_si + 1)``; a
+    call whose ``(max_row + 1) * span`` reaches 2**63 would overflow it and
+    is refused with :class:`SizeGuardError`.  The second is a stable sort
+    of the rows of the terms that stay, listed in the order they occurred.
+    Integer arrays keep their width (the tour passes int32), and anything
+    else is read as int64.
     """
-    row, sl, si = (np.asarray(a, dtype=np.int64) for a in (row, sl, si))
+    row, sl, si = (a if a.dtype.kind in "iu" else a.astype(np.int64) for a in map(np.asarray, (row, sl, si)))
     coef = np.asarray(coef, dtype=np.float64)
     rows, width = int(row.max(initial=0)) + 1, int(si.max(initial=0)) + 1
-    span = max((int(sl.max(initial=0)) + 1) * width, row.size)
+    span = (int(sl.max(initial=0)) + 1) * width
     if rows * span >= 2**63:
         raise SizeGuardError(f"merging terms into {rows} rows of {span} keys each reaches 2**63")
-    key = row * span + sl * width + si
+    key = np.multiply(row, span, dtype=np.int64)
+    key += np.multiply(sl, width, dtype=np.int64)
+    key += si
     order = np.argsort(key, kind="stable")  # repeats stay in occurrence order
     key = key[order]
     first = np.ones(order.size, dtype=bool)
-    first[1:] = key[1:] != key[:-1]
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    del key
     start, repeat = np.flatnonzero(first), np.flatnonzero(~first)
-    total = coef[order[start]]
+    total = coef.copy()
     # unbuffered, in index order: each source's repeats add in the order they occurred
-    np.add.at(total, np.searchsorted(start, repeat) - 1, coef[order[repeat]])
-    keep = order[start]
-    place = np.argsort(row[keep] * span + keep, kind="stable")
-    keep = keep[place]
-    return [(sl[keep], si[keep], row[keep], total[place])], np.asarray(const, dtype=np.float64)
+    np.add.at(total, order[start[np.searchsorted(start, repeat) - 1]], coef[order[repeat]])
+    first[:] = False
+    first[order[start]] = True  # now by place in the input: the terms that stay
+    del order, start, repeat
+    keep = np.flatnonzero(first)
+    keep = keep[np.argsort(row[keep], kind="stable")]
+    return [(sl[keep], si[keep], row[keep], total[keep])], np.asarray(const, dtype=np.float64)
 
 
 def _take(parts, idx):
@@ -673,67 +712,96 @@ def _min_arcs(m: int) -> int:
     return 2 * (m - 1) + _tree_arcs(m) + 1 + (m - 1).bit_count()
 
 
-def min_reduce_many(rows, m: int, base: int) -> list:
-    """Reduce each run of m consecutive rows of a one-block layer to its minimum, in lockstep.
+def min_reduce_many(rows, groups) -> list:
+    """Reduce each run of consecutive rows of a one-block layer to its minimum, in lockstep.
 
-    All runs advance one pairwise round of :func:`_rounds` per hidden
-    layer: a and b become ``b - relu(b - a)``.  So each run costs m - 1
-    neurons over ceil(log2(m)) hidden layers, numbered from ``base + 1``.
-    The affine outputs of one round feed the next round's rectifiers
-    directly (no relay neurons), which is what keeps the depth
-    logarithmic.  Returns every layer written: the hidden rounds in
-    order, then a one-block layer with one row per run, ready to be the
-    next layer or the output layer as it is (``[rows]`` when m = 1).
+    `groups` lists ``(runs, m, base)`` for consecutive stretches of the
+    rows, in order: `runs` runs of m rows each, whose hidden rounds are
+    numbered from layer ``base + 1``.  All runs of a group advance one
+    pairwise round of :func:`_rounds` per hidden layer: a and b become
+    ``b - relu(b - a)``.  So each run costs m - 1 neurons over
+    ceil(log2(m)) hidden layers.  The affine outputs of one round feed
+    the next round's rectifiers directly (no relay neurons), which is what
+    keeps the depth logarithmic.  Returns every layer written: each
+    group's hidden rounds in order, group after group, then a one-block
+    layer with one row per run of the last group, ready to be the next
+    layer or the output layer as it is.  The minima of earlier groups get
+    no row of their own: a later row reads one by naming its neurons, as
+    below, so one call can run groups that feed each other.  A group with
+    m = 1 has no round; as the last group its output rows are its rows.
 
     The tree fixes every index.  A value whose last row is L is row L
     minus the neuron of each round s in which it was a right operand b,
     that is, in which bit s - 1 of L is set; that neuron is pair ``L >> s``
-    of its run in round s.  Each hidden row ``b - a`` lists b's terms,
-    b's neurons, -a's terms and a's neurons, and a run's output row the
-    terms and neurons of its last value.  One :func:`_merge` call writes
-    the rows of every round, merging the sources that a shares with b by
-    its order rule.  The plan of one run, every pair of every round, is
-    array arithmetic on m; all runs share it.
+    of its run in round s, on layer ``base + s`` of its group.  Each hidden
+    row ``b - a`` lists b's terms, b's neurons, -a's terms and a's neurons,
+    and a run's output row the terms and neurons of its last value.  One
+    :func:`_merge` call writes the rows of every round of every group,
+    merging the sources that a shares with b by its order rule, and one
+    :func:`_split` cuts them into layers.  The plan of every group, each
+    pair of each round, is array arithmetic on the m's; the runs of a
+    group share it.
     """
-    if m == 1:
-        return [rows]
     [(layer, index, row, weight)], const = rows
-    # The plan of one run.  Round r has pairs[r - 1] pairs; one more round is
-    # the output, whose one value ends at row m - 1.  Pair i of round r combines
-    # the values a and b that end at rows (2i + 1) 2**(r - 1) - 1 and
-    # (2i + 2) 2**(r - 1) - 1 (cut at m - 1).
-    pairs = np.array([p for _, p in _rounds(m)] + [1])
-    r = np.arange(1, pairs.size + 1)
-    first = np.cumsum(pairs) - pairs  # each round's first pair
-    rnd = np.repeat(r, pairs)
-    i = np.arange(rnd.size) - first[rnd - 1]
-    b_last = np.minimum((2 * i + 2) << (rnd - 1), m) - 1
+    # One entry per layer written, group after group: its round r, pair count,
+    # the group's runs, m and base, and where the group starts in `rows`.  The
+    # last group's output is one round more, of one pair.
+    plan, head = [], 0
+    for runs, m, base in groups:
+        plan += [(r, pairs, runs, m, base, head) for r, pairs in _rounds(m)]
+        head += runs * m
+    plan.append(((m - 1).bit_length() + 1, 1, runs, m, base, head - runs * m))
+    r, pairs, runs, m, base, head = np.array(plan, dtype=np.int64).T
+    # The plan: pair i of round r combines the values a and b that end at rows
+    # (2i + 1) 2**(r - 1) - 1 and (2i + 2) 2**(r - 1) - 1 (cut at m - 1) of a run.
+    first = np.cumsum(pairs) - pairs  # each layer's first pair
+    at = np.repeat(np.arange(pairs.size), pairs)  # each pair's layer
+    i, rnd = np.arange(at.size) - first[at], r[at]
     a_last = ((2 * i + 1) << (rnd - 1)) - 1
-    # Every row of the result, round after round, run after run: its run and pair.
-    runs = const.size // m
-    offsets = np.zeros(r.size + 1, dtype=np.int64)  # where each round's rows start
-    np.cumsum(pairs * runs, out=offsets[1:])
-    row_rnd = np.repeat(r, pairs * runs)
-    run, place = np.divmod(np.arange(offsets[-1]) - offsets[row_rnd - 1], pairs[row_rnd - 1])
-    pair = first[row_rnd - 1] + place
-
-    # The rows b and a of every pair and run: their terms, then the neurons
-    # subtracted from them in earlier rounds.
+    last = np.concatenate((np.minimum(a_last + (1 << (rnd - 1)), m[at] - 1), a_last))
+    # Every row of the result, layer after layer, run after run: its run and pair.
+    per = pairs * runs
+    offsets = np.zeros(per.size + 1, dtype=np.int64)  # where each layer's rows start
+    np.cumsum(per, out=offsets[1:])
+    row_layer = np.repeat(np.arange(per.size), per)
+    run, place = np.divmod(np.arange(offsets[-1]) - offsets[row_layer], pairs[row_layer])
+    pair = first[row_layer] + place
+    start = head[row_layer] + m[row_layer] * run  # each row's run in `rows`
+    hidden = offsets[-2]  # rows of the output layer have no a
+    # The rows b, then a, of every row of the result: their terms, then the
+    # neurons subtracted from them in earlier rounds.  Plan entries of a sit
+    # past b's.  Bit s of a last row, s + 1 below its round r, is a neuron of
+    # round s + 1 of the same group, r - s - 1 layers before the pair's.
+    entry = np.concatenate((pair, pair[:hidden] + i.size))
+    both = np.concatenate((start, start[:hidden])) + last[entry]
     ptr = np.searchsorted(row, np.arange(const.size + 1))
-    terms, groups = [], []
-    for last, sign, row_pair in ((b_last, 1.0, pair), (a_last, -1.0, pair[: offsets[-2]])):
-        groups.append(m * run[: row_pair.size] + last[row_pair])
-        at, term = _gather(ptr, groups[-1])
-        terms.append((at, layer[term], index[term], sign * weight[term]))
-        # bit s of a pair's last row, s + 1 below its round: a neuron of round s + 1
-        p, s = np.nonzero((last[:, None] >> r[:-1] - 1) & 1 & (r[:-1] < rnd[:, None]))
-        at, e = _gather(np.searchsorted(p, np.arange(last.size + 1)), row_pair)
-        s = s[e]
-        terms.append((at, base + 1 + s, pairs[s] * run[at] + (last[p[e]] >> (s + 1)), np.full(at.size, -sign)))
-    gb, ga = groups
-    bias = np.concatenate((const[gb[: ga.size]] - const[ga], const[gb[ga.size :]]))
-    del run, place, pair, row_rnd, groups, gb, ga  # freed before the merge, a large call's peak
-    return _split(_merge(*map(np.concatenate, zip(*terms)), bias), offsets)
+    t_at, term = _gather(ptr, both)
+    twice = np.concatenate((at, at))  # each plan entry's layer
+    bit = np.arange(int(r.max()) - 1)
+    p, s = np.nonzero((last[:, None] >> bit) & 1 & (bit < r[twice][:, None] - 1))
+    n_at, e = _gather(np.searchsorted(p, np.arange(last.size + 1)), entry)
+    p, s = p[e], s[e]
+    # The merge's terms: b's terms, b's neurons, a's terms and a's neurons, in turn.
+    tb, nb = np.searchsorted(t_at, pair.size), np.searchsorted(n_at, pair.size)
+    cut = list(accumulate((0, int(tb), int(nb), t_at.size - int(tb), n_at.size - int(nb))))
+    b_terms, b_neurons, a_terms, a_neurons = map(slice, cut, cut[1:])
+    merged = [np.empty(cut[-1], dtype=d) for d in (np.int32, layer.dtype, index.dtype, weight.dtype)]
+    merged[0][b_terms], merged[0][a_terms] = t_at[:tb], t_at[tb:] - pair.size
+    for out, a in zip(merged[1:], (layer, index, weight)):
+        # mode "clip" writes to `out` directly; "raise" would buffer the copy
+        np.take(a, term[:tb], out=out[b_terms], mode="clip")
+        np.take(a, term[tb:], out=out[a_terms], mode="clip")
+    np.negative(merged[3][a_terms], out=merged[3][a_terms])
+    n_at[nb:] -= pair.size
+    lay = twice[p]
+    neurons = (n_at, base[lay] + 1 + s, pairs[lay - r[lay] + 1 + s] * run[n_at] + (last[p] >> (s + 1)))
+    for out, a in zip(merged, neurons):
+        out[b_neurons], out[a_neurons] = a[:nb], a[nb:]
+    merged[3][b_neurons], merged[3][a_neurons] = -1.0, 1.0
+    gb = both[: pair.size]
+    bias = np.concatenate((const[gb[:hidden]] - const[both[pair.size :]], const[gb[hidden:]]))
+    del run, place, pair, row_layer, start, entry, both, t_at, term, n_at, e, p, s, lay, neurons  # freed before the merge
+    return _split(_merge(*merged, bias), offsets)
 
 
 def min_n_gadget(n: int) -> ReluNetwork:
@@ -750,7 +818,7 @@ def min_n_gadget(n: int) -> ReluNetwork:
     num_arcs = _min_arcs(n)
     check_arc_budget(num_arcs, f"the minimum of {n} values")
     idx = np.arange(n)
-    layers = min_reduce_many(([(np.zeros(n, dtype=np.int64), idx, idx, np.ones(n))], np.zeros(n)), n, 0)
+    layers = min_reduce_many(([(np.zeros(n, dtype=np.int64), idx, idx, np.ones(n))], np.zeros(n)), [(1, n, 0)])
     return _checked(network_from_blocks(n, layers), num_arcs)
 
 

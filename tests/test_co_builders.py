@@ -350,6 +350,24 @@ def test_csp_build_calls_do_not_grow_with_the_budget(monkeypatch):
     assert counts[0]["min_reduce_many"] == 1
 
 
+def test_tsp_build_calls_do_not_grow_with_n(monkeypatch):
+    # every cardinality's rows, and the closing tree's, come from one set of index arrays
+    real = co_builders.min_reduce_many
+    counts = []
+    for n in (4, 9):
+        calls = []
+
+        def call(*args):
+            calls.append(args)
+            return real(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(co_builders, "min_reduce_many", call)
+            build_tsp_network(n)
+        counts.append(len(calls))
+    assert counts == [1, 1]
+
+
 def test_csp_network_shape():
     n, c_star = 4, 6
     net = build_csp_network(n, c_star, 2.0)

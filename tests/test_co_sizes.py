@@ -94,6 +94,7 @@ def no_build(monkeypatch):
     monkeypatch.setattr(co_builders, "network_from_blocks", refuse)
     monkeypatch.setattr(co_builders, "min_reduce_many", refuse)
     monkeypatch.setattr(co_builders, "_merge", refuse)
+    monkeypatch.setattr(co_builders, "_gather", refuse)
 
 
 @pytest.mark.parametrize("n", [5, 10])

@@ -93,3 +93,15 @@ def test_only_relu_core_steps_a_network(name):
                 and not {node.id for node in ast.walk(call.func.value) if isinstance(node, ast.Name)} & bound
             ]
     assert stepped == []
+
+
+def test_no_co_builder_loops_over_min_trees():
+    # one min_reduce_many call runs every tree of a network; a loop around it pays its fixed cost per pass
+    tree = ast.parse(inspect.getsource(importlib.import_module("dpnets.co_builders")))
+    looped = [
+        f"line {call.lineno}"
+        for loop in ast.walk(tree) if isinstance(loop, (ast.For, ast.While))
+        for call in ast.walk(loop)
+        if isinstance(call, ast.Call) and "min_reduce_many" in {getattr(call.func, "id", None), getattr(call.func, "attr", None)}
+    ]
+    assert looped == []

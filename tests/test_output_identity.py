@@ -71,6 +71,14 @@ def test_build_output(build, tmp_path, capsys):
     assert (sha(stdout.encode()), sha(out.read_bytes())) == BUILDS[build]
 
 
+def test_tsp_with_ten_vertices():
+    # the first tour with a power-of-two cardinality tree (8 rows) and a 4-round closing tree
+    net = co_builders.build_tsp_network(10)
+    assert sha(json.dumps(net.to_json_dict()).encode()) == (
+        "a3d9e7ba0ed3fb45efa9c85d610afc9a97abe3478e83e501df45657de3a5cd03"
+    )
+
+
 def test_csp_with_a_nonzero_source():
     net = co_builders.build_csp_network(5, 6, 2.5, 3)
     assert sha(json.dumps(net.to_json_dict()).encode()) == (
@@ -119,6 +127,7 @@ NETWORKS = {
     "csp": lambda: co_builders.build_csp_network(5, 10, 2.5),
     "csp source 3": lambda: co_builders.build_csp_network(5, 7, 3.0, 3),
     "tsp": lambda: co_builders.build_tsp_network(8),
+    "tsp 10": lambda: co_builders.build_tsp_network(10),
     "min13": lambda: min_n_gadget(13),
     "unfold": lambda: dp_nn.unfold_dp(12, 40),
 }
@@ -130,6 +139,7 @@ EVALUATIONS = {
     "csp": "4cc7741c6b70267cf523ea11c91b935993905dae3ba84aee8a29c08c57a90c40",
     "csp source 3": "386cb1893351a128e6f32af71132883028dfd4535a614e99aa77bb466d3321e7",
     "tsp": "436bc3926b9e2b1c99b54e18581f54fe69ac6ccf70f1f894d2143205a433c32e",
+    "tsp 10": "32242173595a9523f87e7136e5185ba4ff6fbe482d485405b2afeba941a5dca2",
     "min13": "09379ec0bd801fda0d70eee2b8caa08e39ee5b028f34d2c11c3a82e03453d52d",
     "unfold": "59c14f14917d1c031253a7739325fd5646af91528e81035b265cc32453c3c962",
 }
