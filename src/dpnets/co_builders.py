@@ -437,10 +437,10 @@ def build_csp_network(n: int, c_star: int, resource_bound: float, source: int = 
     the ceil(log2(n + 1)) rounds of a minimum tree per target, then the
     output.  All budgets come from one set of index arrays: the keeps are
     indexed by (c, hop, k), their reads of f(c - k, u) are closed-form
-    (BIG_R minus popcount(n) tree neurons of budget c - k), and one
-    ``min_reduce_many`` call runs every budget's trees as its runs.  Each
-    budget's layers are then cut out of the merged result, so the build
-    makes the same number of array calls whatever c_star is.
+    (BIG_R minus popcount(n) tree neurons of budget c - k), and so are the
+    output rows.  One ``min_reduce_many`` call runs every budget's trees,
+    one group per budget on its own layers, so the build makes the same
+    number of array calls whatever c_star is.
 
     The network has ``_csp_arcs(n, c_star, source)`` arcs, about
     2 n**2 c_star**2 (4,892 at n = 5, c_star = 10); a size whose count
@@ -472,14 +472,13 @@ def build_csp_network(n: int, c_star: int, resource_bound: float, source: int = 
         np.column_stack((-gate_k, gate_k)).ravel(),
     )
 
-    # All budgets are written at once, and each budget's layers are cut out of
-    # the result.  Budget c = 1..c_star owns layer keep(c) = 2 + (c - 1)(rounds
-    # + 1), its selector, and layer keep(c) + s + 1, round s + 1 of its minimum
-    # tree over n + 1 rows per target.  The output layer comes last.
-    pairs = np.array([p for _, p in _rounds(n + 1)] + [1])  # per target and round, then the output
-    rounds = pairs.size - 1
+    # All budgets are written at once.  Budget c = 1..c_star owns layer keep(c)
+    # = 2 + (c - 1)(rounds + 1), its selector, and layer keep(c) + s + 1, round
+    # s + 1 of its minimum tree over n + 1 rows per target.  The output layer
+    # comes last.
+    pairs = np.array([p for _, p in _rounds(n + 1)])  # per target and round
+    rounds = pairs.size
     keep_layer = 2 + (rounds + 1) * np.arange(-1, c_star)  # entry c: budget c's, c >= 1
-    out_layer = int(keep_layer[-1]) + rounds + 1
     bits = np.flatnonzero((n >> np.arange(rounds)) & 1)
 
     # From c = 1 on, the tree leaves f(c, v) as its last row, the constant BIG_R,
@@ -524,25 +523,22 @@ def build_csp_network(n: int, c_star: int, resource_bound: float, source: int = 
 
     # Run (c - 1) t + j of the minimum: f(c - 1, v), the n - 1 hops into v and
     # BIG_R.  Row c t + j of `table` is f(c, v) for c < c_star, and f(0, v) is
-    # the constant BIG_R, so row 0 serves as BIG_R.  The rounds' layers are
-    # numbered past every real layer, so that no tree neuron shares a key with
-    # another source.
+    # the constant BIG_R, so row 0 serves as BIG_R.  Budget c's t runs are one
+    # group, its rounds numbered on from keep(c).  Its rows read only earlier
+    # layers, so no tree neuron shares a key with another source.
     run = np.arange(c_star * t)
-    tl, ti = f_neurons(1 + run[: -t] // t, run[: -t] % t)
-    table = [(tl.ravel(), ti.ravel(), np.repeat(t + run[: -t], p), np.full(tl.size, -1.0))], np.full(run.size, big_r)
+    tl, ti = f_neurons(1 + run // t, run % t)
+    table = ([(tl[:-t].ravel(), ti[:-t].ravel(), np.repeat(t + run[:-t], p), np.full(tl[:-t].size, -1.0))],
+             np.full(run.size, big_r))
     group = np.column_stack((run, run.size + (n - 1) * run[:, None] + np.arange(n - 1),
                              np.zeros(run.size, dtype=np.int64))).ravel()
-    rounds_out = min_reduce_many(_take([table, hop_rows], group), [(run.size, n + 1, out_layer)])
-
-    # Give each tree neuron its budget's layer and index, in place, and cut the
-    # keeps and each round into budgets.
-    for per, ([(tsl, tsi, at, _)], _) in zip(t * pairs, rounds_out):
-        mine = tsl > out_layer
-        b, s = at[mine] // per, tsl[mine] - out_layer - 1
-        tsl[mine], tsi[mine] = keep_layer[b + 1] + 1 + s, tsi[mine] - b * t * pairs[s]
+    # The last group's output block goes unused: output row (c - 1) t + j is
+    # f(c, v), written in closed form.
+    hidden = min_reduce_many(_take([table, hop_rows], group), [(t, n + 1, c) for c in keep_layer[1:].tolist()])[:-1]
     keeps = _split(([(sl, si, row, coef)], keep_bias), first)
-    trees = [_split(part, per * np.arange(c_star + 1)) for per, part in zip(t * pairs, rounds_out[:-1])]
-    net = network_from_blocks(2 * edges, [gates, *chain.from_iterable(zip(keeps, *trees)), rounds_out[-1]])
+    out = [(tl.ravel(), ti.ravel(), np.repeat(run, p), np.full(tl.size, -1.0))], np.full(run.size, big_r)
+    layers = chain.from_iterable(zip(keeps, *(hidden[s::rounds] for s in range(rounds))))  # budget by budget
+    net = network_from_blocks(2 * edges, [gates, *layers, out])
     return _checked(net, num_arcs)
 
 

@@ -68,9 +68,9 @@ __all__ = [
 
 # Arc budget of every network, and its bound on neurons.  Building a knapsack
 # cell and evaluating it once peaks at about 90 bytes per arc (the 8.4M
-# arcs at p* = 2047 took 716 MB).  Unfolding peaks at about 95 bytes per
-# arc over the imported package (unfold_dp(30, 520), 1.0M arcs: 0.27 s,
-# 124 MB against 30 MB after import), about 0.8 GB at the budget.  Below
+# arcs at p* = 2047 took 716 MB).  Unfolding peaks at about 65 bytes per
+# arc over the imported package (unfold_dp(30, 520), 1.0M arcs: 0.04 s,
+# 94 MB against 30 MB after import), about 0.55 GB at the budget.  Below
 # it every CSR index fits in int32.
 MAX_ARCS = 2**23
 
@@ -201,7 +201,7 @@ class ReluNetwork:
             raise ConstructionError("arc weights must be finite")
         if [b.shape for b in bias_arrays] != [(s,) for s in sizes[1:]]:
             raise ConstructionError("need one bias array per non-input layer, of the layer's size")
-        if not all(np.isfinite(b).all() for b in bias_arrays):
+        if not np.isfinite(np.concatenate(bias_arrays)).all():
             raise ConstructionError("biases must be finite")
         for arr in (sl, si, tl, ti, w, *bias_arrays):
             arr.setflags(write=False)
@@ -554,7 +554,7 @@ def _whole(values: np.ndarray) -> np.ndarray:
 
 
 def network_from_blocks(n_inputs: int, layers) -> ReluNetwork:
-    """Assemble a network from numpy arc blocks, layer by layer.
+    """Assemble a network from numpy arc blocks.
 
     ``layers`` holds one ``(blocks, bias)`` pair per non-input layer,
     the output layer last; the bias array fixes the layer's size.  A
@@ -562,29 +562,74 @@ def network_from_blocks(n_inputs: int, layers) -> ReluNetwork:
     broadcasting against arrays.  Arcs come neuron by neuron, and arcs
     into one neuron keep the order in which the blocks list them.  Zero
     weights are dropped.
+
+    A layer of one block of four 1-D arrays of one length, as
+    :func:`_split`, :func:`_merge` and :func:`unfold` write them, needs no
+    broadcast, and its rows usually ascend already.  Each run of
+    consecutive such layers is taken in one step (:func:`_run_arcs`): a
+    tree or an unfolding costs a fixed number of array calls, whatever its
+    depth.  Every other layer is assembled on its own: its blocks broadcast
+    and concatenated, then stably sorted by row.  The result is the same as
+    the per-layer rule's, arc for arc.
     """
-    sizes = [n_inputs]
+    layers = list(layers)
     arcs = []
-    biases = []
-    for layer, (blocks, bias) in enumerate(layers, start=1):
-        columns = [[], [], [], []]
-        for block in blocks:
-            block = [np.asarray(x) for x in block]
-            k = max((x.size for x in block if x.ndim and x.size != 1), default=1)
-            for column, x in zip(columns, block):
-                column.append(x if x.shape == (k,) else np.broadcast_to(x, (k,)))
-        sl, si, ti = (np.concatenate(column, dtype=np.int64) for column in columns[:3])
-        w = np.concatenate(columns[3], dtype=np.float64)
-        order = np.argsort(ti, kind="stable")
-        order = order[w[order] != 0.0]
-        arcs.append((sl[order], si[order], np.full(order.size, layer), ti[order], w[order]))
-        sizes.append(len(bias))
-        biases.append(np.asarray(bias, dtype=np.float64))
-    # Merge column by column, freeing each column's pieces as it goes.
+    for single, run in groupby(enumerate(layers, start=1), lambda item: _one_block(item[1][0])):
+        if single:
+            arcs.append(_run_arcs([(layer, block) for layer, ([block], _) in run]))
+            continue
+        for layer, (blocks, _) in run:
+            columns = [[], [], [], []]
+            for block in blocks:
+                block = [np.asarray(x) for x in block]
+                k = max((x.size for x in block if x.ndim and x.size != 1), default=1)
+                for column, x in zip(columns, block):
+                    column.append(x if x.shape == (k,) else np.broadcast_to(x, (k,)))
+            sl, si, ti = (np.concatenate(column, dtype=np.int64) for column in columns[:3])
+            w = np.concatenate(columns[3], dtype=np.float64)
+            order = np.argsort(ti, kind="stable")
+            order = order[w[order] != 0.0]
+            arcs.append((sl[order], si[order], np.full(order.size, layer), ti[order], w[order]))
+    # Merge column by column, freeing each column's pieces as it goes; a lone piece is taken as it is.
     columns = [list(column) for column in zip(*arcs)]
     del arcs
-    sl, si, tl, ti, w = (np.concatenate(columns.pop(0)) for _ in range(5))
+    sl, si, tl, ti, w = (np.concatenate(c) if len(c) > 1 else c[0] for c in map(columns.pop, [0] * 5))
+    sizes = [n_inputs] + [len(bias) for _, bias in layers]
+    biases = [np.asarray(bias, dtype=np.float64) for _, bias in layers]
     return ReluNetwork._from_arrays(sizes, sl, si, tl, ti, w, biases)
+
+
+def _one_block(blocks) -> bool:
+    """Whether `blocks` is one block of four 1-D arrays of one length."""
+    if len(blocks) != 1:
+        return False
+    shapes = {x.shape if isinstance(x, np.ndarray) else None for x in blocks[0]}
+    return len(shapes) == 1 and len(shapes.pop() or ()) == 1
+
+
+def _run_arcs(run):
+    """The arcs ``(sl, si, tl, ti, w)`` of the one-block layers ``(layer, block)``
+    of `run`, as :func:`network_from_blocks` assembles them layer by layer.
+
+    Each column is concatenated once and the layer column is one
+    ``np.repeat``.  One comparison finds the layers whose rows do not
+    ascend; only those are sorted, each on its own and stably by row, as
+    the per-layer rule sorts every layer.  One mask drops the zero weights.
+    """
+    blocks = [block for _, block in run]
+    sl, si, ti = (np.concatenate([block[j] for block in blocks], dtype=np.int64) for j in range(3))
+    tl = np.repeat(np.array([layer for layer, _ in run], dtype=np.int64), [block[2].size for block in blocks])
+    arcs = [sl, si, tl, ti, np.concatenate([block[3] for block in blocks], dtype=np.float64)]
+    down = (ti[1:] < ti[:-1]) & (tl[1:] == tl[:-1])  # arc i + 1 undercuts arc i's row in one layer
+    for layer in np.unique(tl[1:][down]).tolist() if down.any() else ():
+        a, b = np.searchsorted(tl, [layer, layer + 1])
+        order = a + np.argsort(ti[a:b], kind="stable")
+        for x in arcs:
+            x[a:b] = x[order]
+    del sl, si, tl, ti
+    keep = arcs[4] != 0.0
+    # drop the zero weights column by column, freeing each column as it goes
+    return arcs if keep.all() else [arcs.pop(0)[keep] for _ in range(5)]
 
 
 # -- one-block layers -------------------------------------------------------

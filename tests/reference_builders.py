@@ -426,6 +426,34 @@ def unfold(cell: ReluNetwork, steps: int, feedback: dict) -> ReluNetwork:
     raise AssertionError("unreachable")
 
 
+# -- assembly from blocks ------------------------------------------------------
+
+
+def network_from_blocks(n_inputs: int, layers) -> ReluNetwork:
+    """``relu_core.network_from_blocks`` as it assembled every layer on its own:
+    the layer's blocks broadcast and concatenated, stably sorted by row, zero
+    weights dropped, and the layers concatenated column by column."""
+    sizes = [n_inputs]
+    arcs = []
+    biases = []
+    for layer, (blocks, bias) in enumerate(layers, start=1):
+        columns = [[], [], [], []]
+        for block in blocks:
+            block = [np.asarray(x) for x in block]
+            k = max((x.size for x in block if x.ndim and x.size != 1), default=1)
+            for column, x in zip(columns, block):
+                column.append(x if x.shape == (k,) else np.broadcast_to(x, (k,)))
+        sl, si, ti = (np.concatenate(column, dtype=np.int64) for column in columns[:3])
+        w = np.concatenate(columns[3], dtype=np.float64)
+        order = np.argsort(ti, kind="stable")
+        order = order[w[order] != 0.0]
+        arcs.append((sl[order], si[order], np.full(order.size, layer), ti[order], w[order]))
+        sizes.append(len(bias))
+        biases.append(np.asarray(bias, dtype=np.float64))
+    sl, si, tl, ti, w = (np.concatenate(column) for column in zip(*arcs))
+    return ReluNetwork._from_arrays(sizes, sl, si, tl, ti, w, biases)
+
+
 # -- evaluation through scipy.sparse -----------------------------------------
 
 

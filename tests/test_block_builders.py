@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import reference_builders as ref
 from dpnets import co_builders, dp_nn
 from dpnets.instance_gen import SplitMix64
-from dpnets.relu_core import ReluNetwork, _merge, min_n_gadget, unfold
+from dpnets.relu_core import ReluNetwork, _merge, min_n_gadget, network_from_blocks, unfold
 
 
 def assert_same(new, old):
@@ -95,6 +95,63 @@ def test_csp_network(n):
                 # BIG_R is in the weights: gates 2 BIG_R, keep and hop biases BIG_R
                 assert_same(co_builders.build_csp_network(n, c_star, bound, source),
                             ref.build_csp_network(n, c_star, bound, source))
+
+
+# -- assembly ----------------------------------------------------------------
+
+WIDTH = 3  # neurons in every layer, the inputs included
+
+
+@st.composite
+def assembly_layers(draw):
+    """Layers for ``network_from_blocks``: one-block layers whose rows ascend
+    and layers whose rows do not, zero weights, layers without arcs,
+    scalar-broadcast blocks, and multi-block layers between runs, with int32
+    or int64 index columns."""
+    weight = st.sampled_from([-1.5, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0])
+    layers = []
+    for layer in range(1, draw(st.integers(1, 8)) + 1):
+        source = st.integers(0, layer - 1)
+        arc = st.tuples(source, st.integers(0, WIDTH - 1), st.integers(0, WIDTH - 1), weight)
+
+        def block(ascending):
+            arcs = draw(st.lists(arc, max_size=6))
+            if ascending:
+                arcs.sort(key=lambda a: a[2])
+            dtype = draw(st.sampled_from([np.int32, np.int64]))
+            return [np.array([a[j] for a in arcs], dtype=dtype) for j in range(3)] + [np.array([a[3] for a in arcs])]
+
+        kind = draw(st.sampled_from(["ascending", "any order", "broadcast", "blocks"]))
+        if kind == "broadcast":
+            # one entry a scalar or a one-entry array, broadcast against the others
+            blocks = [block(True)]
+            j = draw(st.sampled_from([0, 1, 3]))
+            value = draw(arc)[j]
+            blocks[0][j] = draw(st.sampled_from([value, np.array([value])]))
+        elif kind == "blocks":
+            blocks = [block(draw(st.booleans())) for _ in range(draw(st.integers(2, 3)))]
+        else:
+            blocks = [block(kind == "ascending")]
+        bias = draw(st.lists(st.sampled_from([0.0, 0.5, -1.0]), min_size=WIDTH, max_size=WIDTH))
+        layers.append((blocks, np.array(bias)))
+    return layers
+
+
+def arrays(net):
+    return net._sl, net._si, net._tl, net._ti, net._w, *net.biases_by_layer
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(assembly_layers())
+def test_assembly_matches_the_per_layer_rule(layers):
+    # runs of one-block layers are taken in one step, every other layer on its
+    # own: the arcs, their order and every dtype are those of per-layer assembly
+    old = ref.network_from_blocks(WIDTH, layers)
+    new = network_from_blocks(WIDTH, layers)
+    assert new.layer_sizes == old.layer_sizes
+    for mine, theirs in zip(arrays(new), arrays(old), strict=True):
+        assert mine.dtype == theirs.dtype
+        assert np.array_equal(mine, theirs)
 
 
 # -- unfolding ---------------------------------------------------------------
@@ -187,3 +244,23 @@ def test_unfold_drops_zero_and_merges_repeated_arcs():
     assert_same(u, ref.unfold(cell, 2, {0: 0}))
     assert u.num_arcs == 2 * 4
     assert [a[4] for a in u.arcs[:3]] == [1.0, 1.5, 1.0]
+
+
+def test_unfold_sorts_the_same_whatever_its_depth(monkeypatch):
+    # the unfolding's layers are one run of one-block layers, assembled with a
+    # fixed number of array calls however many steps it has
+    dp_nn.build_dp_cell(12)  # cached: only the unfolding is counted
+    real = np.argsort
+    counts = []
+    for steps in (2, 40):
+        calls = []
+
+        def argsort(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "argsort", argsort)
+            dp_nn.unfold_dp(12, steps)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
