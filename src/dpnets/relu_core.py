@@ -68,10 +68,10 @@ __all__ = [
 
 # Arc budget of every network, and its bound on neurons.  Building a knapsack
 # cell and evaluating it once peaks at about 90 bytes per arc (the 8.4M
-# arcs at p* = 2047 took 716 MB).  Unfolding peaks at about 65 bytes per
-# arc over the imported package (unfold_dp(30, 520), 1.0M arcs: 0.04 s,
-# 94 MB against 30 MB after import), about 0.55 GB at the budget.  Below
-# it every CSR index fits in int32.
+# arcs at p* = 2047 took 716 MB, the 2.1M at p* = 1024 take 170 MB).
+# Unfolding peaks at about 70 bytes per arc over the imported package
+# (unfold_dp(30, 520), 1.0M arcs: 97 MB against 31 MB after import), about
+# 0.6 GB at the budget.  Below it every CSR index fits in int32.
 MAX_ARCS = 2**23
 
 # Pre-activations proven below this need no finiteness check (see ReluNetwork._overflow_gate).
@@ -559,77 +559,49 @@ def network_from_blocks(n_inputs: int, layers) -> ReluNetwork:
     ``layers`` holds one ``(blocks, bias)`` pair per non-input layer,
     the output layer last; the bias array fixes the layer's size.  A
     block is ``(src_layer, src_index, dst_index, weight)``, scalars
-    broadcasting against arrays.  Arcs come neuron by neuron, and arcs
-    into one neuron keep the order in which the blocks list them.  Zero
-    weights are dropped.
+    broadcasting against arrays, and a layer may have no block.  Arcs
+    come neuron by neuron, and arcs into one neuron keep the order in
+    which the blocks list them.  Zero weights are dropped.
 
-    A layer of one block of four 1-D arrays of one length, as
-    :func:`_split`, :func:`_merge` and :func:`unfold` write them, needs no
-    broadcast, and its rows usually ascend already.  Each run of
-    consecutive such layers is taken in one step (:func:`_run_arcs`): a
-    tree or an unfolding costs a fixed number of array calls, whatever its
-    depth.  Every other layer is assembled on its own: its blocks broadcast
-    and concatenated, then stably sorted by row.  The result is the same as
-    the per-layer rule's, arc for arc.
+    Every layer is taken in one pass: each column is concatenated once
+    over every block of every layer, and the layer column is one
+    ``np.repeat``.  One comparison finds the layers whose rows do not
+    ascend (the minimum tree, the co builders and :func:`unfold` write
+    rows that do); only those are sorted, each on its own and stably by
+    row.  One mask drops the zero weights.  So a tree or an unfolding
+    costs a fixed number of array calls whatever its depth, and the
+    result is the same as sorting every layer on its own, arc for arc.
     """
     layers = list(layers)
-    arcs = []
-    for single, run in groupby(enumerate(layers, start=1), lambda item: _one_block(item[1][0])):
-        if single:
-            arcs.append(_run_arcs([(layer, block) for layer, ([block], _) in run]))
-            continue
-        for layer, (blocks, _) in run:
-            columns = [[], [], [], []]
-            for block in blocks:
-                block = [np.asarray(x) for x in block]
-                k = max((x.size for x in block if x.ndim and x.size != 1), default=1)
-                for column, x in zip(columns, block):
-                    column.append(x if x.shape == (k,) else np.broadcast_to(x, (k,)))
-            sl, si, ti = (np.concatenate(column, dtype=np.int64) for column in columns[:3])
-            w = np.concatenate(columns[3], dtype=np.float64)
-            order = np.argsort(ti, kind="stable")
-            order = order[w[order] != 0.0]
-            arcs.append((sl[order], si[order], np.full(order.size, layer), ti[order], w[order]))
-    # Merge column by column, freeing each column's pieces as it goes; a lone piece is taken as it is.
-    columns = [list(column) for column in zip(*arcs)]
-    del arcs
-    sl, si, tl, ti, w = (np.concatenate(c) if len(c) > 1 else c[0] for c in map(columns.pop, [0] * 5))
-    sizes = [n_inputs] + [len(bias) for _, bias in layers]
-    biases = [np.asarray(bias, dtype=np.float64) for _, bias in layers]
-    return ReluNetwork._from_arrays(sizes, sl, si, tl, ti, w, biases)
-
-
-def _one_block(blocks) -> bool:
-    """Whether `blocks` is one block of four 1-D arrays of one length."""
-    if len(blocks) != 1:
-        return False
-    shapes = {x.shape if isinstance(x, np.ndarray) else None for x in blocks[0]}
-    return len(shapes) == 1 and len(shapes.pop() or ()) == 1
-
-
-def _run_arcs(run):
-    """The arcs ``(sl, si, tl, ti, w)`` of the one-block layers ``(layer, block)``
-    of `run`, as :func:`network_from_blocks` assembles them layer by layer.
-
-    Each column is concatenated once and the layer column is one
-    ``np.repeat``.  One comparison finds the layers whose rows do not
-    ascend; only those are sorted, each on its own and stably by row, as
-    the per-layer rule sorts every layer.  One mask drops the zero weights.
-    """
-    blocks = [block for _, block in run]
-    sl, si, ti = (np.concatenate([block[j] for block in blocks], dtype=np.int64) for j in range(3))
-    tl = np.repeat(np.array([layer for layer, _ in run], dtype=np.int64), [block[2].size for block in blocks])
-    arcs = [sl, si, tl, ti, np.concatenate([block[3] for block in blocks], dtype=np.float64)]
+    columns = [[np.zeros(0, dtype=np.int64)] for _ in range(4)]  # an empty piece: a network may have no block
+    counts = []
+    for blocks, _ in layers:
+        counts.append(0)
+        for block in blocks:
+            shape = (np.broadcast(*block).size,)
+            for column, x in zip(columns, block):
+                column.append(x if getattr(x, "shape", None) == shape else np.broadcast_to(x, shape))
+            counts[-1] += shape[0]
+    sl, si, ti = (np.concatenate(column, dtype=np.int64) for column in columns[:3])
+    tl = np.repeat(np.arange(1, len(layers) + 1), counts)
+    arcs = [sl, si, tl, ti, np.concatenate(columns[3], dtype=np.float64)]
     down = (ti[1:] < ti[:-1]) & (tl[1:] == tl[:-1])  # arc i + 1 undercuts arc i's row in one layer
-    for layer in np.unique(tl[1:][down]).tolist() if down.any() else ():
-        a, b = np.searchsorted(tl, [layer, layer + 1])
-        order = a + np.argsort(ti[a:b], kind="stable")
-        for x in arcs:
-            x[a:b] = x[order]
+    if down.any():
+        dirty = np.zeros(len(layers) + 1, dtype=bool)
+        dirty[tl[1:][down]] = True
+        ends = list(accumulate(counts, initial=0))  # where each layer's arcs start, then the arc count
+        for layer in np.flatnonzero(dirty).tolist():
+            a, b = ends[layer - 1], ends[layer]
+            order = a + np.argsort(ti[a:b], kind="stable")
+            for x in arcs:
+                x[a:b] = x[order]
     del sl, si, tl, ti
     keep = arcs[4] != 0.0
-    # drop the zero weights column by column, freeing each column as it goes
-    return arcs if keep.all() else [arcs.pop(0)[keep] for _ in range(5)]
+    if not keep.all():  # drop the zero weights column by column, freeing each column as it goes
+        arcs = [arcs.pop(0)[keep] for _ in range(5)]
+    sizes = [n_inputs] + [len(bias) for _, bias in layers]
+    biases = [np.asarray(bias, dtype=np.float64) for _, bias in layers]
+    return ReluNetwork._from_arrays(sizes, *arcs, biases)
 
 
 # -- one-block layers -------------------------------------------------------
@@ -901,14 +873,16 @@ def unfold(cell: ReluNetwork, steps: int) -> ReluNetwork:
     # between two neurons merge here).  At step t, a source neuron i of
     # layer l >= 1 is neuron i of layer l + t k; state input i is neuron i
     # of layer t k (the previous step's relays, or the initial state at
-    # t = 0); fresh input i is input i + t (n_in - n_out).
+    # t = 0); fresh input i is input i + t (n_in - n_out).  A cell layer's
+    # sources are written for every step at once, one row per step.
     k, fresh = cell.depth, n_in - n_out
+    each = np.arange(steps)[:, None]
     rows = []
     for l, bias in enumerate(cell.biases_by_layer, start=1):
         into = cell._tl == l
         [(sl, si, row, coef)], const = _merge(cell._ti[into], cell._sl[into], cell._si[into], cell._w[into], bias)
         is_fresh = (sl == 0) & (si >= n_out)
-        rows.append((sl, si, row, coef, const, np.where(is_fresh, 0, k), np.where(is_fresh, fresh, 0)))
-    layers = [([(sl + t * dl, si + t * di, row, coef)], const)
-              for t in range(steps) for sl, si, row, coef, const, dl, di in rows]
+        sl, si = sl + each * np.where(is_fresh, 0, k), si + each * np.where(is_fresh, fresh, 0)
+        rows.append((sl, si, row, coef, const))
+    layers = [([(sl[t], si[t], row, coef)], const) for t in range(steps) for sl, si, row, coef, const in rows]
     return network_from_blocks(n_out + steps * fresh, layers)

@@ -11,7 +11,7 @@ import pytest
 
 from dpnets import dp_nn, fptas_nn
 from dpnets.errors import ConstructionError
-from dpnets.relu_core import network_from_blocks
+from dpnets.relu_core import ReluNetwork, network_from_blocks
 from reference_builders import NetworkBuilder, affine_sum
 
 
@@ -152,3 +152,9 @@ def test_blocks_keep_network_validation():
         network_from_blocks(2, [([(0, 0, 0, np.inf)], np.zeros(1))])
     net = network_from_blocks(1, [([(0, 0, 0, 1.0)], np.zeros(1))])
     assert not net._w.flags.writeable and not net.biases_by_layer[0].flags.writeable
+
+
+def test_blocks_may_leave_a_layer_without_arcs():
+    assert network_from_blocks(1, [([], np.zeros(1))]) == ReluNetwork([1, 1], [])
+    net = network_from_blocks(1, [([], np.zeros(2)), ([(1, [0, 1], 0, 1.0)], np.zeros(1))])
+    assert net == ReluNetwork([1, 2, 1], [(1, 0, 2, 0, 1.0), (1, 1, 2, 0, 1.0)])

@@ -7,6 +7,7 @@ and ``dpnets build`` output stays byte-identical.
 """
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_builders as ref
-from dpnets import co_builders, dp_nn
+from dpnets import co_builders, dp_nn, fptas_nn
 from dpnets.instance_gen import SplitMix64
 from dpnets.relu_core import ReluNetwork, _merge, min_n_gadget, network_from_blocks, unfold
 
@@ -106,23 +107,30 @@ WIDTH = 3  # neurons in every layer, the inputs included
 def assembly_layers(draw):
     """Layers for ``network_from_blocks``: one-block layers whose rows ascend
     and layers whose rows do not, zero weights, layers without arcs,
-    scalar-broadcast blocks, and multi-block layers between runs, with int32
-    or int64 index columns."""
+    scalar-broadcast blocks, blocks of Python lists, blocks of scalars
+    alone, and multi-block layers between them, with int32 or int64 index
+    columns."""
     weight = st.sampled_from([-1.5, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0])
     layers = []
     for layer in range(1, draw(st.integers(1, 8)) + 1):
         source = st.integers(0, layer - 1)
         arc = st.tuples(source, st.integers(0, WIDTH - 1), st.integers(0, WIDTH - 1), weight)
 
-        def block(ascending):
-            arcs = draw(st.lists(arc, max_size=6))
+        def block(ascending, min_size=0):
+            arcs = draw(st.lists(arc, min_size=min_size, max_size=6))
             if ascending:
                 arcs.sort(key=lambda a: a[2])
             dtype = draw(st.sampled_from([np.int32, np.int64]))
             return [np.array([a[j] for a in arcs], dtype=dtype) for j in range(3)] + [np.array([a[3] for a in arcs])]
 
-        kind = draw(st.sampled_from(["ascending", "any order", "broadcast", "blocks"]))
-        if kind == "broadcast":
+        kind = draw(st.sampled_from(["ascending", "any order", "broadcast", "blocks", "lists", "scalars"]))
+        if kind == "lists":
+            # as the LCS cell and the rounded cell list them; numpy reads an empty list as float
+            blocks = [[x.tolist() for x in block(draw(st.booleans()), 1)] for _ in range(draw(st.integers(1, 2)))]
+        elif kind == "scalars":
+            # one arc per block (k = 1)
+            blocks = draw(st.lists(arc, min_size=1, max_size=3))
+        elif kind == "broadcast":
             # one entry a scalar or a one-entry array, broadcast against the others
             blocks = [block(True)]
             j = draw(st.sampled_from([0, 1, 3]))
@@ -247,8 +255,8 @@ def test_unfold_drops_zero_and_merges_repeated_arcs():
 
 
 def test_unfold_sorts_the_same_whatever_its_depth(monkeypatch):
-    # the unfolding's layers are one run of one-block layers, assembled with a
-    # fixed number of array calls however many steps it has
+    # the unfolding's layers are assembled with a fixed number of array calls
+    # however many steps it has
     dp_nn.build_dp_cell(12)  # cached: only the unfolding is counted
     real = np.argsort
     counts = []
@@ -264,3 +272,27 @@ def test_unfold_sorts_the_same_whatever_its_depth(monkeypatch):
             dp_nn.unfold_dp(12, steps)
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def test_assembly_concatenates_the_same_whatever_the_layers(monkeypatch):
+    # every layer is assembled in one pass: the knapsack cells' multi-block
+    # layers and an unfolding's 160 one-block layers cost the same calls
+    dp_nn.build_dp_cell(12)  # cached: only the unfolding is counted
+    real = np.concatenate
+    inside = network_from_blocks.__code__
+    counts = []
+
+    def concatenate(*args, **kwargs):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not inside:
+            frame = frame.f_back
+        counts[-1] += frame is not None
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "concatenate", concatenate)
+    for build in (lambda: dp_nn.build_dp_cell.__wrapped__(5), lambda: fptas_nn.build_fptas_cell.__wrapped__(5),
+                  lambda: dp_nn.unfold_dp(12, 40)):
+        counts.append(0)
+        build()
+    assert counts[0] > 0
+    assert counts == [counts[0]] * 3
