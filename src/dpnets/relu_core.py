@@ -18,7 +18,7 @@ import importlib.util
 import os
 import sys
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from importlib.machinery import EXTENSION_SUFFIXES
 from itertools import accumulate, chain, groupby
 from math import isfinite, sqrt
@@ -57,6 +57,7 @@ csr_sort_indices, csr_sum_duplicates = _kernels.csr_sort_indices, _kernels.csr_s
 
 __all__ = [
     "MAX_ARCS",
+    "MIN_PART_ARCS",
     "NetworkStats",
     "ReluNetwork",
     "check_arc_budget",
@@ -73,6 +74,18 @@ __all__ = [
 # (unfold_dp(30, 520), 1.0M arcs: 97 MB against 31 MB after import), about
 # 0.6 GB at the budget.  Below it every CSR index fits in int32.
 MAX_ARCS = 2**23
+
+# Arcs per row range of a split layer step (see _row_parts): a layer of A arcs
+# runs as min(usable CPUs, A // MIN_PART_ARCS) row ranges at once, serially
+# below two.  Swept on a 2-core host over 2**14..2**17, one evaluate of the
+# rounded cells P = 100..240 and the exact cells p* = 150..400
+# (BENCH_row_parallel_layers.json): a split pays a hand-off of about 10 µs
+# and the wake of an idle core, so 2**14, which adds splits of 33k-58k arcs,
+# slowed every cell it changed, while 2**15 gave the fastest P = 200 and 240
+# evaluates (layers 2 and 3 split; 2**16 leaves layer 3 serial).  Layers of
+# 65k-130k arcs (P = 115..160, p* = 210..300) gain on the best evaluate and
+# may lose on the median.
+MIN_PART_ARCS = 2**15
 
 # Pre-activations proven below this need no finiteness check (see ReluNetwork._overflow_gate).
 _OVERFLOW_LIMIT = 2.0**500
@@ -117,12 +130,18 @@ class ReluNetwork:
     neurons or arcs is refused with :class:`SizeGuardError`.  On first use
     the evaluator compiles each layer's arcs into the raw int32 arrays of
     a CSR matrix over the concatenated outputs of all earlier layers (see
-    :attr:`_compiled`).  Every evaluation then runs one loop over the
-    layers through scipy's private ``scipy.sparse._sparsetools`` kernels
-    (``csr_matvec``, and ``csr_matvecs`` for :meth:`evaluate_batch`) into
-    one output buffer per call, so one network can be evaluated from
-    several threads at once.  Each layer step is the sparse product, the
-    bias where it is nonzero and the rectifier on hidden layers.  Overflow
+    :attr:`_compiled`).  Every evaluation then steps through the layers
+    into one output buffer per call, so one network can be evaluated from
+    several threads at once.  Each layer step is the sparse product by
+    scipy's private ``scipy.sparse._sparsetools`` kernels (``csr_matvec``,
+    and ``csr_matvecs`` for :meth:`evaluate_batch`), the bias where it is
+    nonzero and the rectifier on hidden layers.  A layer of at least
+    ``2 * MIN_PART_ARCS`` arcs is split into row ranges run at once by the
+    calling thread and by persistent helper threads (:mod:`dpnets.row_split`,
+    started by the first such step, at most one fewer than the usable
+    CPUs); every range runs the same kernel on its own rows, so every byte
+    is the serial step's.  A thread that finds the helpers busy with
+    another thread's step runs its layer alone.  Overflow
     is tested once per call, on the inputs, against a magnitude bound
     computed once per network (:attr:`_magnitude_bound`); only inputs it
     cannot clear have every layer checked for non-finite values.  The
@@ -338,13 +357,14 @@ class ReluNetwork:
     @cached_property
     def _steps(self):
         """Per layer l, one step of :meth:`_forward`: ``(l, rows, n_row, n_col,
-        indptr, indices, data, bias, rectify)``, with `rows` the slice of the
-        concatenated outputs that the layer writes, its :attr:`_compiled`
-        arrays, its bias array or None where every entry is zero, and whether
-        it is hidden (rectified)."""
+        indptr, indices, data, bias, rectify, split)``, with `rows` the slice
+        of the concatenated outputs that the layer writes, its
+        :attr:`_compiled` arrays, its bias array or None where every entry is
+        zero, whether it is hidden (rectified), and its row-parallel step
+        where it has the arcs to split (see :func:`_row_parts`), else None."""
         off, k = self._bounds, self.depth
         return tuple(
-            (l, slice(off[l], off[l + 1]), *compiled, bias if bias.any() else None, l < k)
+            (l, slice(off[l], off[l + 1]), *compiled, bias if bias.any() else None, l < k, _row_parts(*compiled))
             for l, compiled, bias in zip(range(1, k + 1), self._compiled, self._bias_arrays)
         )
 
@@ -395,15 +415,21 @@ class ReluNetwork:
         network whose bound reaches 2**500) each layer is checked before the
         rectifier can hide a -inf, by one reduction, the sum of squares,
         which is finite only if every entry is; only a sum that is not
-        finite pays for the entry-by-entry test.
+        finite pays for the entry-by-entry test.  A layer with a split plan
+        runs the same step range by range (:func:`dpnets.row_split.step`),
+        each range checked before its rectifier, and raises the same error.
         """
         batch = x.ndim == 2
         n = self._bounds[-1]
         outs = np.zeros((n, x.shape[0]) if batch else n)
         outs[: self.n_inputs] = x.T
         check = not np.vdot(x, x) < self._overflow_gate  # a NaN sum fails the test
-        for l, rows, n_row, n_col, indptr, indices, data, bias, rectify in self._steps:
+        for l, rows, n_row, n_col, indptr, indices, data, bias, rectify, split in self._steps:
             a = outs[rows]
+            if split is not None:
+                if split(n_col, indptr, indices, data, outs, a, bias, check, rectify):
+                    raise NumericOverflowError(f"non-finite activation in layer {l}")
+                continue
             if batch:
                 csr_matvecs(n_row, n_col, x.shape[0], indptr, indices, data, outs, a)
             else:
@@ -494,6 +520,24 @@ class ReluNetwork:
         return cls(doc["layers"], doc["arcs"], doc.get("biases", ()))
 
 
+def _row_parts(n_row, n_col, indptr, indices, data):
+    """The row-parallel step of a layer (:func:`dpnets.row_split.step`), or None.
+
+    A layer of A arcs gets ``min(usable CPUs, A // MIN_PART_ARCS)`` row
+    ranges when that is 2 or more, cut where the row pointers pass equal
+    shares of its arcs (one ``searchsorted``); the module is imported here.
+    """
+    parts = data.size // MIN_PART_ARCS
+    if parts > 1:
+        parts = min(parts, len(os.sched_getaffinity(0)))
+    if parts < 2:
+        return None
+    from . import row_split
+
+    cut = [0, *np.searchsorted(indptr, np.arange(1, parts) * data.size // parts).tolist(), n_row]
+    return partial(row_split.step, tuple(zip(cut, cut[1:])))
+
+
 def _numbers(values, row_shape: tuple, message: str) -> np.ndarray:
     """`values` as a float array of rows shaped `row_shape`, else ConstructionError(message).
 
@@ -579,6 +623,8 @@ def network_from_blocks(n_inputs: int, layers) -> ReluNetwork:
         counts.append(0)
         for block in blocks:
             shape = (np.broadcast(*block).size,)
+            if not shape[0]:  # no arc: numpy reads an empty list as float64, which the int64 columns refuse
+                continue
             for column, x in zip(columns, block):
                 column.append(x if getattr(x, "shape", None) == shape else np.broadcast_to(x, shape))
             counts[-1] += shape[0]

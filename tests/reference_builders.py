@@ -437,10 +437,12 @@ def network_from_blocks(n_inputs: int, layers) -> ReluNetwork:
     arcs = []
     biases = []
     for layer, (blocks, bias) in enumerate(layers, start=1):
-        columns = [[], [], [], []]
+        columns = [[np.zeros(0, dtype=np.int64)] for _ in range(4)]  # an empty piece: a layer may have no arc
         for block in blocks:
             block = [np.asarray(x) for x in block]
             k = max((x.size for x in block if x.ndim and x.size != 1), default=1)
+            if not k:  # no arc, whatever dtype numpy reads the block as
+                continue
             for column, x in zip(columns, block):
                 column.append(x if x.shape == (k,) else np.broadcast_to(x, (k,)))
         sl, si, ti = (np.concatenate(column, dtype=np.int64) for column in columns[:3])

@@ -126,7 +126,7 @@ def assembly_layers(draw):
         kind = draw(st.sampled_from(["ascending", "any order", "broadcast", "blocks", "lists", "scalars"]))
         if kind == "lists":
             # as the LCS cell and the rounded cell list them; numpy reads an empty list as float
-            blocks = [[x.tolist() for x in block(draw(st.booleans()), 1)] for _ in range(draw(st.integers(1, 2)))]
+            blocks = [[x.tolist() for x in block(draw(st.booleans()))] for _ in range(draw(st.integers(1, 2)))]
         elif kind == "scalars":
             # one arc per block (k = 1)
             blocks = draw(st.lists(arc, min_size=1, max_size=3))
@@ -296,3 +296,14 @@ def test_assembly_concatenates_the_same_whatever_the_layers(monkeypatch):
         build()
     assert counts[0] > 0
     assert counts == [counts[0]] * 3
+
+
+def test_empty_list_block_builds_the_empty_array_network():
+    # numpy reads an empty list as float64: the block is skipped, as int64 arrays without arcs are
+    e = np.zeros(0, dtype=np.int64)
+    lists = network_from_blocks(1, [([(0, [], [], [])], np.zeros(1))])
+    empty = network_from_blocks(1, [([(e, e, e, np.zeros(0))], np.zeros(1))])
+    assert lists.layer_sizes == empty.layer_sizes == (1, 1)
+    for mine, theirs in zip(arrays(lists), arrays(empty), strict=True):
+        assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+    assert lists.to_json_dict() == ref.network_from_blocks(1, [([(0, [], [], [])], np.zeros(1))]).to_json_dict()

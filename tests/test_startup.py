@@ -120,6 +120,17 @@ def test_verify_passes_on_both_paths():
     assert reports[0] == reports[1]
 
 
+def test_fresh_import_starts_no_thread():
+    # the row-parallel helpers and their module wait for the first layer wide enough to split
+    out = run_python(["-c", (
+        "import json, sys, threading\n"
+        "import dpnets, dpnets.cli\n"
+        "print(json.dumps({'threads': threading.active_count(),\n"
+        "    'modules': [m for m in ('dpnets.row_split', 'concurrent.futures') if m in sys.modules]}))\n"
+    )])
+    assert json.loads(out) == {"threads": 1, "modules": []}
+
+
 @pytest.mark.parametrize("statement", ["import dpnets", "import dpnets.cli", "from dpnets import verify"])
 def test_knapsack_imports_leave_co_builders_out(statement):
     out = run_python(["-c", f"{statement}\nimport sys\nprint('dpnets.co_builders' in sys.modules)"])
