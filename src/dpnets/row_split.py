@@ -96,7 +96,7 @@ def step(ranges, *layer) -> bool:
     whole layer runs on the calling thread.
     """
     if not _idle.acquire(blocking=False):
-        return _rows(ranges[0][0], ranges[-1][1], *layer)
+        return _rows(0, ranges[-1][1], *layer)
     try:
         while len(_helpers) < len(ranges) - 1:
             _helpers.append(_Helper())

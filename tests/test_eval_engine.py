@@ -13,6 +13,7 @@ a ``RuntimeWarning``.
 
 import json
 import math
+import os
 import sys
 import threading
 from collections import Counter
@@ -453,11 +454,10 @@ def test_run_refuses_a_row_of_another_length():
 # -- sharing across threads -----------------------------------------------------
 
 
-def test_two_threads_share_one_network():
-    doc = fptas_nn.build_fptas_cell(8).net.to_json_dict()
-    net = ReluNetwork.from_json_dict(doc)  # compiled by the threads themselves
+def assert_threads_share(net, count):
+    """`count` threads evaluate `net` at once, each on inputs of its own, and get the reference bytes."""
     off = ref.reference_offsets(net)
-    xs = [np.array(grid_inputs(net, 300 + t, 12)) for t in range(2)]
+    xs = [np.array(grid_inputs(net, 300 + t % 2, 12)) for t in range(count)]
     want = [np.array([ref.reference_forward(net, x)[off[-2] :] for x in batch]) for batch in xs]
     failures = []
 
@@ -472,7 +472,7 @@ def test_two_threads_share_one_network():
         except Exception as exc:  # pragma: no cover - reported below
             failures.append((t, repr(exc)))
 
-    threads = [threading.Thread(target=work, args=(t,)) for t in range(2)]
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(count)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # switch threads often, inside evaluations
     try:
@@ -484,3 +484,15 @@ def test_two_threads_share_one_network():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert not failures
+
+
+def test_two_threads_share_one_network(monkeypatch):
+    doc = fptas_nn.build_fptas_cell(8).net.to_json_dict()
+    assert_threads_share(ReluNetwork.from_json_dict(doc), 2)  # compiled by the threads themselves
+    # again where every layer of three arcs or more splits into three row ranges, with
+    # three threads: one holds the helpers, the others find them busy and run alone
+    monkeypatch.setattr(relu_core, "MIN_PART_ARCS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    net = ReluNetwork.from_json_dict(doc)
+    assert_threads_share(net, 3)
+    assert [len(split.args[0]) for *_, split in net._steps if split] == [3] * net.depth
