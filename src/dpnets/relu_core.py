@@ -79,12 +79,12 @@ MAX_ARCS = 2**23
 # runs as min(usable CPUs, A // MIN_PART_ARCS) row ranges at once, serially
 # below two.  Swept on a 2-core host over 2**14..2**17, one evaluate of the
 # rounded cells P = 100..240 and the exact cells p* = 150..400
-# (BENCH_row_parallel_layers.json): a split pays a hand-off of about 10 µs
+# (BENCH_row_parallel_layers.json): a split pays a hand-off of 10-35 µs
 # and the wake of an idle core, so 2**14, which adds splits of 33k-58k arcs,
 # slowed every cell it changed, while 2**15 gave the fastest P = 200 and 240
-# evaluates (layers 2 and 3 split; 2**16 leaves layer 3 serial).  Layers of
-# 65k-130k arcs (P = 115..160, p* = 210..300) gain on the best evaluate and
-# may lose on the median.
+# evaluates (at P = 200, 2**16 leaves layer 3's 120,600 arcs serial).  A cell
+# whose only split layer has 65k-135k arcs (P = 115..160, p* = 210..300) ran
+# up to 25% slower on the median evaluate.
 MIN_PART_ARCS = 2**15
 
 # Pre-activations proven below this need no finiteness check (see ReluNetwork._overflow_gate).
