@@ -528,8 +528,9 @@ def _row_parts(n_row, n_col, indptr, indices, data):
     shares of its arcs (one ``searchsorted``); the module is imported here.
     """
     parts = data.size // MIN_PART_ARCS
-    if parts > 1:
-        parts = min(parts, len(os.sched_getaffinity(0)))
+    if parts > 1:  # macOS and Windows have no sched_getaffinity
+        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
+        parts = min(parts, len(cpus))
     if parts < 2:
         return None
     from . import row_split

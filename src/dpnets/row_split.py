@@ -85,7 +85,8 @@ def _forget_helpers():
     _helpers, _idle = [], threading.Lock()
 
 
-os.register_at_fork(after_in_child=_forget_helpers)
+if hasattr(os, "register_at_fork"):  # Windows has no fork
+    os.register_at_fork(after_in_child=_forget_helpers)
 
 
 def step(ranges, *layer) -> bool:
