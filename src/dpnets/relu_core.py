@@ -67,12 +67,12 @@ __all__ = [
     "unfold",
 ]
 
-# Arc budget of every network, and its bound on neurons.  Building a knapsack
-# cell and evaluating it once peaks at about 90 bytes per arc (the 8.4M
-# arcs at p* = 2047 took 716 MB, the 2.1M at p* = 1024 take 170 MB).
-# Unfolding peaks at about 70 bytes per arc over the imported package
-# (unfold_dp(30, 520), 1.0M arcs: 97 MB against 31 MB after import), about
-# 0.6 GB at the budget.  Below it every CSR index fits in int32.
+# Arc budget of every network, and its bound on neurons.  Peak memory over the
+# imported package, per arc: 55 bytes to build the p* = 1024 knapsack cell
+# (2.1M arcs) and evaluate it once, 49 for unfold_dp(30, 520) (1.0M arcs),
+# 87 for build_csp_network(5, 200, 3.0) (1.7M arcs); 0.4-0.7 GB at the
+# budget.  The budget keeps every neuron index below 2**31, which is what
+# lets every network store its arcs, and compile its CSR indices, as int32.
 MAX_ARCS = 2**23
 
 # Arcs per row range of a split layer step (see _row_parts): a layer of A arcs
@@ -126,8 +126,10 @@ class NetworkStats:
 class ReluNetwork:
     """Immutable sparse-arc representation of a layered ReLU network.
 
-    Arcs are stored as flat arrays; a network of more than ``MAX_ARCS``
-    neurons or arcs is refused with :class:`SizeGuardError`.  On first use
+    Arcs are stored as flat arrays, the four indices int32 and the weight
+    float64; a network of more than ``MAX_ARCS`` neurons or arcs, past
+    which an index could leave int32, is refused with
+    :class:`SizeGuardError`.  On first use
     the evaluator compiles each layer's arcs into the raw int32 arrays of
     a CSR matrix over the concatenated outputs of all earlier layers (see
     :attr:`_compiled`).  Every evaluation then steps through the layers
@@ -209,12 +211,13 @@ class ReluNetwork:
             raise ConstructionError("a network needs an input and an output layer")
         if sizes[0] < 1 or sizes[-1] < 1:
             raise ConstructionError("input and output layers must be non-empty")
-        sz = np.asarray(sizes, dtype=np.int64)
+        sz = np.asarray(sizes, dtype=np.int32)
         if (sl >= tl).any():
             raise ConstructionError("arcs must strictly increase the layer index")
         if (sl < 0).any() or (tl >= sz.size).any():
             raise ConstructionError("arc layer out of range")
-        if (si < 0).any() or (si >= sz[sl]).any() or (ti < 0).any() or (ti >= sz[tl]).any():
+        # take: fancy indexing by an int32 index is several times slower
+        if (si < 0).any() or (si >= sz.take(sl)).any() or (ti < 0).any() or (ti >= sz.take(tl)).any():
             raise ConstructionError("arc endpoint references a nonexistent neuron")
         if not np.all(np.isfinite(w)):
             raise ConstructionError("arc weights must be finite")
@@ -222,6 +225,7 @@ class ReluNetwork:
             raise ConstructionError("need one bias array per non-input layer, of the layer's size")
         if not np.isfinite(np.concatenate(bias_arrays)).all():
             raise ConstructionError("biases must be finite")
+        sl, si, tl, ti = map(partial(np.asarray, dtype=np.int32), (sl, si, tl, ti))  # each below a guarded size
         for arr in (sl, si, tl, ti, w, *bias_arrays):
             arr.setflags(write=False)
         self.layer_sizes = sizes
@@ -290,10 +294,10 @@ class ReluNetwork:
 
         The arrays are exactly those ``scipy.sparse.csr_matrix`` builds
         from the arcs as COO, dtypes included: the size guard keeps every
-        index within int32.  Built arcs come grouped by neuron, so rows are
-        sorted only for shuffled documents, and a network whose rows all
-        list their columns strictly increasing is sliced into layers as
-        stored, its column indices cast to int32 in one call.
+        index within int32, the stored arcs' dtype.  Built arcs come grouped
+        by neuron, so rows are sorted only for shuffled documents, and a
+        network whose rows all list their columns strictly increasing is
+        sliced into layers as stored.
 
         Otherwise each run of consecutive layers that list a column out of
         order or twice runs, on one copy of its weights, the kernels behind
@@ -309,9 +313,11 @@ class ReluNetwork:
         ``unfold`` have more than one.
         """
         off = self._bounds
-        start = np.asarray(off)
-        row = start[self._tl] - off[1] + self._ti
-        col = start[self._sl] + self._si
+        start = np.asarray(off, dtype=np.int32)
+        row = (start - off[1]).take(self._tl)
+        row += self._ti
+        col = start.take(self._sl)
+        col += self._si
         w = self._w
         if (row[1:] < row[:-1]).any():
             order = np.argsort(row, kind="stable")
@@ -331,7 +337,6 @@ class ReluNetwork:
             # reduceat gives a layer without arcs the code of one arc of another; np.where rates it 0
             top = np.maximum.reduceat(code, np.minimum(first[:-1], col.size - 1))
             kind = np.where(first[1:] > first[:-1], top, 0).tolist()
-        col = col.astype(np.int32)
         compiled, l = [], 0
         for dirty, run in groupby(kind, bool):
             run = list(run)
@@ -379,10 +384,12 @@ class ReluNetwork:
         most all A arcs (summing a repeated pair only lowers it), so by
         Cauchy-Schwarz R = sqrt(A S), with S the sum of every squared
         weight; B = sqrt(sum of every squared bias).  Two reductions per
-        network, whatever its depth.
+        network, whatever its depth, neither by BLAS (vdot wakes its threads
+        past 10,000 entries) nor by einsum (its first call takes a heap step).
         """
         bias = np.concatenate(self._bias_arrays)
-        r, b = sqrt(self.num_arcs * float(np.vdot(self._w, self._w))), sqrt(np.vdot(bias, bias))
+        with np.errstate(over="ignore"):  # an infinite sum makes G infinite: every layer is checked
+            r, b = sqrt(self.num_arcs * float(np.square(self._w).sum())), sqrt(np.square(bias).sum())
         return reduce(lambda top, _: max(top, r * top + b), range(self.depth), 1.0)
 
     @cached_property
@@ -598,6 +605,18 @@ def _whole(values: np.ndarray) -> np.ndarray:
     return values.astype(np.int64, order="C")
 
 
+def _int32_column(pieces, message: str) -> np.ndarray:
+    """The index `pieces` as one int32 array, else ConstructionError(message): any
+    other column is checked as int64 before it is narrowed, so no index wraps
+    (a negative one is refused there too: its sign bit survives the OR)."""
+    if np.result_type(*pieces) == np.int32:
+        return np.concatenate(pieces)
+    wide = np.concatenate(pieces, dtype=np.int64)
+    if not 0 <= np.bitwise_or.reduce(wide) < 2**31:
+        raise ConstructionError(message)
+    return wide.astype(np.int32)
+
+
 def network_from_blocks(n_inputs: int, layers) -> ReluNetwork:
     """Assemble a network from numpy arc blocks.
 
@@ -618,19 +637,21 @@ def network_from_blocks(n_inputs: int, layers) -> ReluNetwork:
     result is the same as sorting every layer on its own, arc for arc.
     """
     layers = list(layers)
-    columns = [[np.zeros(0, dtype=np.int64)] for _ in range(4)]  # an empty piece: a network may have no block
+    columns = [[np.zeros(0, dtype=np.int32)] for _ in range(4)]  # an empty piece: a network may have no block
     counts = []
     for blocks, _ in layers:
         counts.append(0)
         for block in blocks:
             shape = (np.broadcast(*block).size,)
-            if not shape[0]:  # no arc: numpy reads an empty list as float64, which the int64 columns refuse
+            if not shape[0]:  # no arc: numpy reads an empty list as float64, which the index columns refuse
                 continue
             for column, x in zip(columns, block):
                 column.append(x if getattr(x, "shape", None) == shape else np.broadcast_to(x, shape))
             counts[-1] += shape[0]
-    sl, si, ti = (np.concatenate(column, dtype=np.int64) for column in columns[:3])
-    tl = np.repeat(np.arange(1, len(layers) + 1), counts)
+    sl = _int32_column(columns[0], "arc layer out of range")
+    si = _int32_column(columns[1], "arc endpoint references a nonexistent neuron")
+    ti = _int32_column(columns[2], "arc endpoint references a nonexistent neuron")
+    tl = np.repeat(np.arange(1, len(layers) + 1, dtype=np.int32), counts)
     arcs = [sl, si, tl, ti, np.concatenate(columns[3], dtype=np.float64)]
     down = (ti[1:] < ti[:-1]) & (tl[1:] == tl[:-1])  # arc i + 1 undercuts arc i's row in one layer
     if down.any():
@@ -908,28 +929,29 @@ def unfold(cell: ReluNetwork, steps: int) -> ReluNetwork:
     package (truncated table values in ]0, 2], running profit sums)
     satisfies that.  The result has at most ``steps * cell.num_arcs``
     arcs (exactly that many when the cell repeats no arc and has no zero
-    weight), checked against the budget first.
+    weight), checked against the budget first, with its neurons.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     n_in, n_out = cell.n_inputs, cell.n_outputs
     if n_out > n_in:
         raise ConstructionError(f"a cell's {n_out} outputs cannot feed back onto its {n_in} inputs")
-    check_arc_budget(steps * cell.num_arcs, f"unfolding {steps} steps")
+    k, fresh = cell.depth, n_in - n_out
+    neurons = n_out + steps * (fresh + sum(cell.layer_sizes[1:]))
+    check_arc_budget(max(steps * cell.num_arcs, neurons), f"unfolding {steps} steps")
     # Each step's layers are the cell's, merged once (arcs the cell repeats
     # between two neurons merge here).  At step t, a source neuron i of
     # layer l >= 1 is neuron i of layer l + t k; state input i is neuron i
     # of layer t k (the previous step's relays, or the initial state at
     # t = 0); fresh input i is input i + t (n_in - n_out).  A cell layer's
-    # sources are written for every step at once, one row per step.
-    k, fresh = cell.depth, n_in - n_out
-    each = np.arange(steps)[:, None]
+    # sources are written for every step at once, one row per step, in int32.
+    each = np.arange(steps, dtype=np.int32)[:, None]
     rows = []
     for l, bias in enumerate(cell.biases_by_layer, start=1):
         into = cell._tl == l
         [(sl, si, row, coef)], const = _merge(cell._ti[into], cell._sl[into], cell._si[into], cell._w[into], bias)
         is_fresh = (sl == 0) & (si >= n_out)
-        sl, si = sl + each * np.where(is_fresh, 0, k), si + each * np.where(is_fresh, fresh, 0)
+        sl, si = sl + np.where(is_fresh, 0, each * k), si + np.where(is_fresh, each * fresh, 0)
         rows.append((sl, si, row, coef, const))
     layers = [([(sl[t], si[t], row, coef)], const) for t in range(steps) for sl, si, row, coef, const in rows]
     return network_from_blocks(n_out + steps * fresh, layers)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from dpnets.errors import (
     ShapeMismatchError,
     SizeGuardError,
 )
-from dpnets import relu_core
-from dpnets.dp_nn import build_dp_cell
+from dpnets import dp_nn, relu_core
+from dpnets.co_builders import build_tsp_network
+from dpnets.dp_nn import build_dp_cell, unfold_dp
 from dpnets.fptas_nn import build_fptas_cell
 from dpnets.instance_gen import GenConfig, SplitMix64, gen_knapsack
 from dpnets.relu_core import (
@@ -20,6 +22,7 @@ from dpnets.relu_core import (
     _merge,
     _min_arcs,
     min_n_gadget,
+    network_from_blocks,
     unfold,
 )
 from dpnets.verify import grid_values
@@ -257,6 +260,11 @@ def test_unfold_arc_budget():
     steps = MAX_ARCS // cell.num_arcs
     with pytest.raises(SizeGuardError):
         unfold(cell, steps + 1)
+    # one arc a step, but 2**22 fresh inputs a step: the neurons pass the budget
+    # (and past 2**31 the int32 offsets) before anything is built
+    wide = ReluNetwork([2**22 + 1, 1], [(0, 0, 1, 0, 1.0)])
+    with pytest.raises(SizeGuardError, match="unfolding 1024 steps"):
+        unfold(wide, 1024)
 
 
 def knapsack_runs():
@@ -327,3 +335,46 @@ def test_merge_refuses_keys_past_int64():
     for sl, si in (([top, 0], [0, last + 1]), ([2**30, 0], [0, 2**40])):
         with pytest.raises(SizeGuardError, match="reaches 2\\*\\*63"):
             _merge([0, 0], sl, si, [1.0, 1.0], [0.0])
+
+
+# -- int32 arc storage ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_dp_cell(12).net,
+        lambda: build_fptas_cell(6).net,
+        lambda: unfold_dp(12, 6),
+        lambda: build_tsp_network(8),
+        lambda: ReluNetwork.from_json_dict(json.loads(json.dumps(build_dp_cell(7).net.to_json_dict()))),
+    ],
+    ids=["exact", "rounded", "unfold", "tsp", "json"],
+)
+def test_arcs_are_stored_as_int32(build):
+    net = build()
+    columns = (net._sl, net._si, net._tl, net._ti)
+    assert [a.dtype for a in columns] == [np.int32] * 4 and net._w.dtype == np.float64
+    assert sum(a.nbytes for a in columns) == 16 * net.num_arcs
+
+
+def test_no_index_wraps_into_int32():
+    # 2**32 would narrow to 0, a neuron both networks have
+    with pytest.raises(ConstructionError):
+        network_from_blocks(1, [([(0, np.array([2**32]), [0], [1.0])], np.zeros(1))])
+    with pytest.raises(ConstructionError):
+        ReluNetwork([1, 1], [[0, 2**32, 1, 0, 1.0]])
+
+
+def test_a_built_and_evaluated_cell_fits_in_40_bytes_per_arc():
+    # four int32 indices and one float64 weight: 24 bytes an arc stored, and
+    # the compiled int32 columns and float64 weights
+    tracemalloc.start()
+    try:
+        cell = dp_nn.build_dp_cell.__wrapped__(100)
+        cell.net.evaluate(np.ones(cell.net.n_inputs))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    arcs = cell.net.num_arcs
+    assert held <= 40 * arcs and peak <= 62 * arcs, (held / arcs, peak / arcs)
