@@ -37,9 +37,9 @@ from .relu_core import (
     _gather,
     _merge,
     _min_arcs,
-    _min_tree,
     _rounds,
     _split,
+    _subtracted,
     _take,
     _tree_arcs,
     check_arc_budget,
@@ -323,6 +323,13 @@ def _offdiag(matrix) -> np.ndarray:
     return m[~np.eye(m.shape[0], dtype=bool)]
 
 
+def _min_tree(m: int):
+    """``(r, la, lb)`` for each pair of :func:`_rounds`: the last value that a and b cover."""
+    for r, pairs in _rounds(m):
+        for i in range(pairs):
+            yield r, ((2 * i + 1) << (r - 1)) - 1, min((2 * i + 2) << (r - 1), m) - 1
+
+
 def _listings(m: int, row: int) -> int:
     """How many hidden rows of the minimum tree over m rows list the terms of `row`:
     the rounds in which value j = row >> (r - 1), the one holding `row`, ends at
@@ -437,10 +444,11 @@ def build_csp_network(n: int, c_star: int, resource_bound: float, source: int = 
     the ceil(log2(n + 1)) rounds of a minimum tree per target, then the
     output.  All budgets come from one set of index arrays: the keeps are
     indexed by (c, hop, k), their reads of f(c - k, u) are closed-form
-    (BIG_R minus popcount(n) tree neurons of budget c - k), and so are the
-    output rows.  One ``min_reduce_many`` call runs every budget's trees,
-    one group per budget on its own layers, so the build makes the same
-    number of array calls whatever c_star is.
+    (BIG_R minus the popcount(n) tree neurons of budget c - k that
+    ``_subtracted`` names), and so are the output rows.  One
+    ``min_reduce_many`` call runs every budget's trees, one group per
+    budget on its own layers, so the build makes the same number of array
+    calls whatever c_star is.
 
     The network has ``_csp_arcs(n, c_star, source)`` arcs, about
     2 n**2 c_star**2 (4,892 at n = 5, c_star = 10); a size whose count
@@ -476,18 +484,17 @@ def build_csp_network(n: int, c_star: int, resource_bound: float, source: int = 
     # = 2 + (c - 1)(rounds + 1), its selector, and layer keep(c) + s + 1, round
     # s + 1 of its minimum tree over n + 1 rows per target.  The output layer
     # comes last.
-    pairs = np.array([p for _, p in _rounds(n + 1)])  # per target and round
-    rounds = pairs.size
+    rounds = int(n).bit_length()  # of a tree over n + 1 rows
     keep_layer = 2 + (rounds + 1) * np.arange(-1, c_star)  # entry c: budget c's, c >= 1
-    bits = np.flatnonzero((n >> np.arange(rounds)) & 1)
+    # From c = 1 on, the tree leaves f(c, v) as its last row n, the constant BIG_R,
+    # minus the neurons of :func:`_subtracted`.  So any row can read f before its
+    # tree is written.
+    _, f_layer, f_pairs, f_place = _subtracted(n, n + 1, 0)
 
-    # From c = 1 on, the tree leaves f(c, v) as its last row, the constant BIG_R,
-    # minus the neuron of each round s + 1 in which bit s of n is set: pair
-    # n >> s + 1 of v's run.  So any row can read f before its tree is written.
     def f_neurons(c, j):
         """Layers and indices of the neurons that f(c, v) subtracts from BIG_R,
         one row per entry, for the j-th target v and c >= 1."""
-        return keep_layer[c][:, None] + 1 + bits, pairs[bits] * j[:, None] + (n >> bits + 1)
+        return keep_layer[c][:, None] + f_layer, f_pairs * j[:, None] + f_place
 
     # Hop (c, u, v) for each budget c, target v and u != v: c-major, then v-major.
     # Its keeps are keep (c, v, u, k) = relu(BIG_R - f(c - k, u) - plus - minus)
@@ -502,14 +509,14 @@ def build_csp_network(n: int, c_star: int, resource_bound: float, source: int = 
     budget, j = np.divmod(hop, edge.size)  # budget c - 1, and the hop's edge
     first = np.searchsorted(budget, np.arange(c_star + 1))  # budget c's keeps start at first[c - 1]
     g = 2 * (c_star * edge[j] + k - 1)
-    u, p = eu[edge[j]], bits.size
+    u, p = eu[edge[j]], f_layer.size
     sl, si = np.ones((keep.size, p + 2), dtype=np.int64), np.empty((keep.size, p + 2), dtype=np.int64)
     sl[:, :p], si[:, :p] = f_neurons(budget + 1 - k, u - (u > source))
     si[:, p], si[:, p + 1] = g, g + 1
-    listed = np.ones(sl.shape, dtype=bool)
-    listed[from_source[j], :p] = False
-    row = np.broadcast_to(keep[:, None], sl.shape)[listed]
-    sl, si, coef = sl[listed], si[listed], np.broadcast_to(np.repeat([1.0, -1.0], [p, 2]), sl.shape)[listed]
+    present = np.ones(sl.shape, dtype=bool)
+    present[from_source[j], :p] = False
+    row = np.broadcast_to(keep[:, None], sl.shape)[present]
+    sl, si, coef = sl[present], si[present], np.broadcast_to(np.repeat([1.0, -1.0], [p, 2]), sl.shape)[present]
 
     # hop(c, u, v) = BIG_R - (its keeps) + r(u, v)
     end = np.cumsum(kmax + 1) - 1
@@ -519,7 +526,7 @@ def build_csp_network(n: int, c_star: int, resource_bound: float, source: int = 
     hop_si[end], hop_coef[end] = edges + np.tile(_edge(n, eu[edge], ev[edge]), c_star), 1.0
     hop_rows = [(hop_sl, hop_si, np.repeat(np.arange(kmax.size), kmax + 1), hop_coef)], np.full(kmax.size, big_r)
     keep_bias = np.where(from_source[j], big_r, 0.0)
-    del hop, keep, k, budget, j, g, u, listed  # freed before the trees' merge, a large build's peak
+    del hop, keep, k, budget, j, g, u, present  # freed before the trees' merge, a large build's peak
 
     # Run (c - 1) t + j of the minimum: f(c - 1, v), the n - 1 hops into v and
     # BIG_R.  Row c t + j of `table` is f(c, v) for c < c_star, and f(0, v) is
@@ -621,9 +628,8 @@ def build_tsp_network(n: int) -> ReluNetwork:
     c(u, v).  No f(T, v) is a row of its own, as its terms are closed-form.
     With T - v = {s_1 < ... < s_{t-1}}, they are the inputs along the path
     start, s_1, ..., s_{t-1}, v, each followed by the tree neurons of the
-    entry it reaches, f({s_1, ..., s_i}, s_i) and last f(T, v): for an
-    entry of cardinality i, the neuron of each round r of its tree in
-    which bit r - 1 of i - 2 is set, rounds ascending.  So the rows of
+    entry it reaches, f({s_1, ..., s_i}, s_i) and last f(T, v): those that
+    ``_subtracted`` names for row i - 2 of its run.  So the rows of
     every cardinality and of the closing tree come from one set of index
     arrays, and one ``min_reduce_many`` call runs every tree, whatever n is.
 
@@ -651,33 +657,23 @@ def build_tsp_network(n: int) -> ReluNetwork:
     rank = np.empty_like(masks)
     rank[order] = masks - (np.cumsum(per_size) - per_size)[size[order]]
     # Cardinality s's tree has ceil(log2(s - 1)) rounds, from layer base[s] + 1.
-    # Each of its minima is its last row minus the neuron of round b + 1 for
-    # each set bit b of s - 2, pair (s - 2) >> (b + 1) of its run; (card, bit)
-    # lists those bits from bits[s] on, ascending.
     rounds = np.array([max(s - 2, 0).bit_length() for s in range(n + 1)])
     base = np.cumsum(rounds) - rounds
-    card, bit = np.nonzero((np.maximum(np.arange(n) - 2, 0)[:, None] >> np.arange(big.bit_length())) & 1)
-    listed = np.bincount(card, minlength=n)
-    bits = np.cumsum(listed) - listed
 
     # E(P, x), the terms that f(P, x) adds to f(P - x, y) for y = max(P - x):
     # the input c(y, x), or c(start, x) when P = {x}, then the neurons that
-    # f(P, x)'s minimum subtracts, its run being rank[P] |P| + k.
+    # f(P, x), row |P| - 2 of its run rank[P] |P| + k, subtracts (:func:`_subtracted`).
     s = size[held]
     k = np.arange(held.size) - where[held]
-    length = 1 + listed[s]
+    at, e_layer, e_pairs, e_place = _subtracted(np.maximum(s - 2, 0), s - 1, base[s])
+    length = 1 + np.bincount(at, minlength=held.size)
     e_ptr = np.zeros(held.size + 1, dtype=np.int64)
     np.cumsum(length, out=e_ptr[1:])
-    at = np.repeat(np.arange(held.size), length)
-    nth = np.arange(at.size) - e_ptr[at]
-    neuron = np.flatnonzero(nth)
-    at = at[neuron]
-    tab = bits[s[at]] + nth[neuron] - 1
-    i, b = card[tab], bit[tab]
-    e_sl, e_si = np.zeros(nth.size, dtype=np.int32), np.empty(nth.size, dtype=np.int32)
-    e_coef = np.full(nth.size, -1.0)
-    e_sl[neuron] = base[i] + 1 + b
-    e_si[neuron] = ((((i - 2) >> b) + 1) // 2) * (rank[held[at]] * s[at] + k[at]) + ((i - 2) >> (b + 1))
+    neuron = np.arange(at.size) + at + 1  # after each entry's input and the neurons of those before it
+    e_sl, e_si = np.zeros(e_ptr[-1], dtype=np.int32), np.empty(e_ptr[-1], dtype=np.int32)
+    e_coef = np.full(e_ptr[-1], -1.0)
+    e_sl[neuron] = e_layer
+    e_si[neuron] = e_pairs * (rank[held[at]] * s[at] + k[at]) + e_place
     e_si[e_ptr[:-1]] = _edge(n, np.where(s > 1, vertex[where[held] + s - 1 - (k == s - 1)], 0), vertex)
     e_coef[e_ptr[:-1]] = 1.0
     # F(S), the terms of f(S, max S): E(P, y) for each member y of S, ascending,

@@ -129,28 +129,23 @@ class ReluNetwork:
     Arcs are stored as flat arrays, the four indices int32 and the weight
     float64; a network of more than ``MAX_ARCS`` neurons or arcs, past
     which an index could leave int32, is refused with
-    :class:`SizeGuardError`.  On first use
-    the evaluator compiles each layer's arcs into the raw int32 arrays of
-    a CSR matrix over the concatenated outputs of all earlier layers (see
-    :attr:`_compiled`).  Every evaluation then steps through the layers
-    into one output buffer per call, so one network can be evaluated from
-    several threads at once.  Each layer step is the sparse product by
-    scipy's private ``scipy.sparse._sparsetools`` kernels (``csr_matvec``,
-    and ``csr_matvecs`` for :meth:`evaluate_batch`), the bias where it is
-    nonzero and the rectifier on hidden layers.  A layer of at least
+    :class:`SizeGuardError`.  On first use the evaluator compiles each
+    layer's arcs into the raw int32 arrays of a CSR matrix over the
+    concatenated outputs of all earlier layers (see :attr:`_compiled`).
+    Every evaluation then steps through the layers into one output buffer
+    per call, so one network can be evaluated from several threads at
+    once.  Each layer step is the sparse product by scipy's private
+    kernels (``csr_matvec``, and ``csr_matvecs`` for
+    :meth:`evaluate_batch`; see :func:`_sparsetools`), the bias where it
+    is nonzero and the rectifier on hidden layers.  A layer of at least
     ``2 * MIN_PART_ARCS`` arcs is split into row ranges run at once by the
-    calling thread and by persistent helper threads (:mod:`dpnets.row_split`,
-    started by the first such step, at most one fewer than the usable
-    CPUs); every range runs the same kernel on its own rows, so every byte
-    is the serial step's.  A thread that finds the helpers busy with
-    another thread's step runs its layer alone.  Overflow
-    is tested once per call, on the inputs, against a magnitude bound
-    computed once per network (:attr:`_magnitude_bound`); only inputs it
-    cannot clear have every layer checked for non-finite values.  The
-    extension is loaded from its file without importing ``scipy.sparse``,
-    or through the normal import when it is already imported or its file
-    is missing or fails to load; the C functions are the same either way.
-    All arithmetic is IEEE double precision.
+    calling thread and by helper threads (:mod:`dpnets.row_split`); every
+    range runs the same kernel on its own rows, so every byte is the
+    serial step's.  Overflow is tested once per call, on the inputs,
+    against a magnitude bound computed once per network
+    (:attr:`_magnitude_bound`); only inputs it cannot clear have every
+    layer checked for non-finite values.  All arithmetic is IEEE double
+    precision.
     The constructions in this package only combine small integers, halves
     and input-derived values, so they evaluate exactly while every
     integer-valued pre-activation stays below 2**53; each builder
@@ -772,11 +767,23 @@ def _rounds(m: int):
         r += 1
 
 
-def _min_tree(m: int):
-    """``(r, la, lb)`` for each pair of :func:`_rounds`: the last value that a and b cover."""
-    for r, pairs in _rounds(m):
-        for i in range(pairs):
-            yield r, ((2 * i + 1) << (r - 1)) - 1, min((2 * i + 2) << (r - 1), m) - 1
+def _subtracted(last, m, base, below=None):
+    """The tree neurons that the values ending at rows `last` of their runs subtract.
+
+    A value ending at row L of a run of m rows is row L minus, for each set
+    bit s of L (below `below`, if given), the neuron of round s + 1, where
+    it was a right operand b: pair ``L >> s + 1`` of the run's ``((m - 1 >>
+    s) + 1) // 2``, on layer ``base + 1 + s``.  Returns each neuron's entry,
+    layer, pair count and place, entries in order, rounds ascending; its
+    index is ``pairs * run + place``.  `m` and `base` are both scalars or
+    both one per entry, and `below` either.
+    """
+    last = np.atleast_1d(last)
+    bits = last if below is None else last & (1 << below) - 1
+    e, s = np.nonzero(bits[:, None] >> np.arange(int(bits.max(initial=0)).bit_length()) & 1)
+    if np.ndim(m):
+        m, base = m[e], base[e]
+    return e, base + 1 + s, ((m - 1 >> s) + 1) // 2, last[e] >> s + 1
 
 
 def _tree_arcs(m: int) -> int:
@@ -811,21 +818,15 @@ def min_reduce_many(rows, groups) -> list:
     group's hidden rounds in order, group after group, then a one-block
     layer with one row per run of the last group, ready to be the next
     layer or the output layer as it is.  The minima of earlier groups get
-    no row of their own: a later row reads one by naming its neurons, as
-    below, so one call can run groups that feed each other.  A group with
-    m = 1 has no round; as the last group its output rows are its rows.
+    no row of their own: a later row reads one by naming its neurons
+    (:func:`_subtracted`), so one call can run groups that feed each other.
+    A group with m = 1 has no round; as the last group its output rows are
+    its rows.
 
-    The tree fixes every index.  A value whose last row is L is row L
-    minus the neuron of each round s in which it was a right operand b,
-    that is, in which bit s - 1 of L is set; that neuron is pair ``L >> s``
-    of its run in round s, on layer ``base + s`` of its group.  Each hidden
-    row ``b - a`` lists b's terms, b's neurons, -a's terms and a's neurons,
-    and a run's output row the terms and neurons of its last value.  One
-    :func:`_merge` call writes the rows of every round of every group,
-    merging the sources that a shares with b by its order rule, and one
-    :func:`_split` cuts them into layers.  The plan of every group, each
-    pair of each round, is array arithmetic on the m's; the runs of a
-    group share it.
+    Each hidden row ``b - a`` lists b's terms and neurons, then -a's, and a
+    run's output row those of its last value.  One :func:`_merge` call
+    writes every row, merging the sources that a shares with b by its order
+    rule, and one :func:`_split` cuts them into layers.
     """
     [(layer, index, row, weight)], const = rows
     # One entry per layer written, group after group: its round r, pair count,
@@ -853,19 +854,15 @@ def min_reduce_many(rows, groups) -> list:
     pair = first[row_layer] + place
     start = head[row_layer] + m[row_layer] * run  # each row's run in `rows`
     hidden = offsets[-2]  # rows of the output layer have no a
-    # The rows b, then a, of every row of the result: their terms, then the
-    # neurons subtracted from them in earlier rounds.  Plan entries of a sit
-    # past b's.  Bit s of a last row, s + 1 below its round r, is a neuron of
-    # round s + 1 of the same group, r - s - 1 layers before the pair's.
+    # The rows b, then a, of every result row: their terms, then their neurons.
+    # Plan entries of a sit past b's.
     entry = np.concatenate((pair, pair[:hidden] + i.size))
     both = np.concatenate((start, start[:hidden])) + last[entry]
     ptr = np.searchsorted(row, np.arange(const.size + 1))
     t_at, term = _gather(ptr, both)
     twice = np.concatenate((at, at))  # each plan entry's layer
-    bit = np.arange(int(r.max()) - 1)
-    p, s = np.nonzero((last[:, None] >> bit) & 1 & (bit < r[twice][:, None] - 1))
+    p, n_layer, n_pairs, n_place = _subtracted(last, m[twice], base[twice], r[twice] - 1)
     n_at, e = _gather(np.searchsorted(p, np.arange(last.size + 1)), entry)
-    p, s = p[e], s[e]
     # The merge's terms: b's terms, b's neurons, a's terms and a's neurons, in turn.
     tb, nb = np.searchsorted(t_at, pair.size), np.searchsorted(n_at, pair.size)
     cut = list(accumulate((0, int(tb), int(nb), t_at.size - int(tb), n_at.size - int(nb))))
@@ -878,14 +875,13 @@ def min_reduce_many(rows, groups) -> list:
         np.take(a, term[tb:], out=out[a_terms], mode="clip")
     np.negative(merged[3][a_terms], out=merged[3][a_terms])
     n_at[nb:] -= pair.size
-    lay = twice[p]
-    neurons = (n_at, base[lay] + 1 + s, pairs[lay - r[lay] + 1 + s] * run[n_at] + (last[p] >> (s + 1)))
+    neurons = (n_at, n_layer[e], n_pairs[e] * run[n_at] + n_place[e])
     for out, a in zip(merged, neurons):
         out[b_neurons], out[a_neurons] = a[:nb], a[nb:]
     merged[3][b_neurons], merged[3][a_neurons] = -1.0, 1.0
     gb = both[: pair.size]
     bias = np.concatenate((const[gb[:hidden]] - const[both[pair.size :]], const[gb[hidden:]]))
-    del run, place, pair, row_layer, start, entry, both, t_at, term, n_at, e, p, s, lay, neurons  # freed before the merge
+    del run, place, pair, row_layer, start, entry, both, t_at, term, n_at, e, neurons  # freed before the merge
     return _split(_merge(*merged, bias), offsets)
 
 

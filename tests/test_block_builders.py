@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import reference_builders as ref
 from dpnets import co_builders, dp_nn, fptas_nn
 from dpnets.instance_gen import SplitMix64
-from dpnets.relu_core import ReluNetwork, _merge, min_n_gadget, network_from_blocks, unfold
+from dpnets.relu_core import ReluNetwork, _merge, _subtracted, min_n_gadget, network_from_blocks, unfold
 
 
 def assert_same(new, old):
@@ -62,6 +62,32 @@ def test_cancelled_source_keeps_its_place():
 @pytest.mark.parametrize("n", range(1, 17))
 def test_min_n_gadget(n):
     assert_same(min_n_gadget(n), ref.min_n_gadget(n))
+
+
+def tree_arcs(net, layer, index):
+    """``(layer, index, weight)`` of each arc into one neuron from a hidden neuron, in order."""
+    into = (net._tl == layer) & (net._ti == index) & (net._sl > 0)
+    return list(zip(net._sl[into].tolist(), net._si[into].tolist(), net._w[into].tolist()))
+
+
+def named(subtracted, sign):
+    """The neurons of a ``_subtracted`` result as ``(layer, index, weight)`` arcs of one run,
+    `sign[e]` the weight of entry e's."""
+    entry, layer, _, place = subtracted
+    return list(zip(layer.tolist(), place.tolist(), [sign[e] for e in entry.tolist()]))
+
+
+@pytest.mark.parametrize("m", range(1, 65))
+def test_subtracted_names_the_tree_neurons_that_min_n_gadget_has(m):
+    net = min_n_gadget(m)
+    out = _subtracted(m - 1, m, 0)
+    assert tree_arcs(net, net.depth, 0) == named(out, [-1.0])
+    for r, la, lb in co_builders._min_tree(m):
+        # the row b - a of a round-r pair lists b's neurons, then a's, of rounds below r
+        rounds = _subtracted([lb, la], m, 0, r - 1)
+        assert tree_arcs(net, r, la >> r) == named(rounds, [-1.0, 1.0])
+        for _, layer, pairs, _ in (out, rounds):
+            assert pairs.tolist() == [net.layer_sizes[l] for l in layer.tolist()]
 
 
 def test_lcs_cell():
